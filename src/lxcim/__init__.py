@@ -30,7 +30,6 @@ from .exchange import (
     check_categorical_lxc_invariance,
     check_rank_lxc_invariance,
     duplicate_dataset,
-    exchange_sample,
     exchange_subset,
     f1_score,
     matthews_corrcoef,
@@ -56,7 +55,6 @@ from .model import (
     Dataset,
     DecisionSpec,
     RankedView,
-    Sample,
     SpecValidationReport,
     SpecViolation,
     make_abs_spec,
@@ -85,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "Sample",
     "Dataset",
     "DecisionSpec",
     "RankedView",
@@ -115,7 +112,6 @@ __all__ = [
     "InvarianceReport",
     "PerturbationWitness",
     "CategoricalInvarianceReport",
-    "exchange_sample",
     "exchange_subset",
     "duplicate_dataset",
     "check_rank_lxc_invariance",

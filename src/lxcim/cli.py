@@ -197,8 +197,6 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
     s_star = _resolve_s_star(parser, args)
     dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, s_star)
 
@@ -243,17 +241,9 @@ def _cmd_duplicate(parser, args) -> int:
 
 
 def _cmd_synth(parser, args) -> int:
-    kind = GeneratorKind(args.kind)
-    if args.n < 1:
-        parser.error("--n must be >= 1")
-    if kind is GeneratorKind.BIASED:
-        if args.p is None:
-            parser.error("--kind biased requires --p")
-        if not 0.0 <= args.p <= 1.0:
-            parser.error("--p must lie in [0, 1]")
-    elif args.p is not None:
-        parser.error("--p is only valid with --kind biased")
-    config = GeneratorConfig(kind=kind, n=args.n, seed=args.seed, p=args.p)
+    config = GeneratorConfig(
+        kind=GeneratorKind(args.kind), n=args.n, seed=args.seed, p=args.p
+    )
     dataset = generate(config)
     try:
         file_io.write_prediction_file(args.output, dataset, args.format)
@@ -269,10 +259,6 @@ def _cmd_study(parser, args) -> int:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     except ValueError:
         parser.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
-        parser.error("--sizes must be strictly ascending positive integers")
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
 
     result = convergence_study(sizes, args.seeds, base_seed=args.seed)
 
@@ -322,6 +308,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"lxcim: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        # argument values the library rejects, e.g. --p outside [0, 1]
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

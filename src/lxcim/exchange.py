@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InfeasiblePerturbationError, InvalidMaskError, LxcimError
 from .metrics import ConfusionMatrix
-from .model import Dataset, DecisionSpec, Sample
+from .model import Dataset, DecisionSpec
 
 __all__ = [
     "ExchangeMask",
@@ -32,7 +32,6 @@ __all__ = [
     "InvarianceReport",
     "PerturbationWitness",
     "CategoricalInvarianceReport",
-    "exchange_sample",
     "exchange_subset",
     "duplicate_dataset",
     "check_rank_lxc_invariance",
@@ -43,23 +42,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExchangeMask:
-    """Set of 0-based dataset positions selected for exchange."""
+    """0-based dataset positions selected for exchange.
 
-    indices: frozenset[int]
+    Accepts any iterable of non-negative integral numbers (lists, ranges,
+    generators, integer arrays).  ``indices`` holds them sorted, without
+    duplicates, as a read-only int64 array.
+    """
+
+    indices: np.ndarray
 
     def __init__(self, indices: Iterable[int] = ()):
-        cleaned = set()
-        for i in indices:
-            j = int(i)
-            if j != i or j < 0:
-                raise InvalidMaskError(f"mask indices must be integers >= 0, got {i!r}")
-            cleaned.add(j)
-        object.__setattr__(self, "indices", frozenset(cleaned))
+        try:
+            raw = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        except (TypeError, ValueError) as exc:
+            raise InvalidMaskError(f"mask indices must be integers >= 0: {exc}") from None
+        if raw.size == 0:
+            raw = np.empty(0, dtype=np.int64)
+        if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+            raise InvalidMaskError(f"mask indices must be integers >= 0, got {raw!r}")
+        if raw.dtype.kind == "f":
+            ok = (raw >= 0.0) & (raw < 2.0**63) & (raw == np.trunc(raw))
+        else:
+            ok = raw.astype(np.int64) >= 0  # uint64 beyond int64 wraps negative
+        if not np.all(ok):
+            first = raw[~ok][0].item()
+            raise InvalidMaskError(f"mask indices must be integers >= 0, got {first!r}")
+        idx = raw.astype(np.int64)
+        if np.any(idx[1:] <= idx[:-1]):
+            idx = np.unique(idx)
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
 
     def __iter__(self):
-        return iter(sorted(self.indices))
+        return iter(self.indices.tolist())
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -67,23 +84,16 @@ class ExchangeMask:
     def __contains__(self, item) -> bool:
         return item in self.indices
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExchangeMask):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash(self.indices.tobytes())
+
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
-
-def exchange_sample(sample: Sample, spec: DecisionSpec) -> Sample:
-    """Exchange one sample's class: reflect the score, flip the label.
-
-    A sample sitting exactly at the threshold is its own exchange.  The map is
-    an involution and preserves weight, confidence, and correctness.
-    """
-    if sample.score == spec.s_star:
-        return sample
-    return Sample(
-        score=spec.reflect_at(sample.score),
-        label=1 - sample.label,
-        weight=sample.weight,
-    )
+        return tuple(self.indices.tolist())
 
 
 def _coerce_mask(mask) -> ExchangeMask:
@@ -91,14 +101,17 @@ def _coerce_mask(mask) -> ExchangeMask:
 
 
 def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
-    """Exchange the samples at the masked positions, leaving the rest alone."""
-    mask = _coerce_mask(mask)
-    if len(mask) == 0:
+    """Exchange the samples at the masked positions, leaving the rest alone.
+
+    Exchanging a sample reflects its score and flips its label; a sample
+    sitting exactly at the threshold is its own exchange.
+    """
+    idx = _coerce_mask(mask).indices
+    if len(idx) == 0:
         return dataset
-    idx = np.fromiter(mask.indices, dtype=np.int64, count=len(mask))
-    if idx.max() >= len(dataset):
+    if idx[-1] >= len(dataset):
         raise InvalidMaskError(
-            f"mask index {int(idx.max())} out of range for dataset of size {len(dataset)}"
+            f"mask index {int(idx[-1])} out of range for dataset of size {len(dataset)}"
         )
     scores = dataset.scores.copy()
     labels = dataset.labels.copy()

@@ -181,7 +181,7 @@ def _score_sweep(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, float, float
 def roc_curve(dataset: Dataset) -> Curve:
     """ROC breakpoints from the descending score sweep, starting at (0, 0).
 
-    Samples sharing a score enter together, producing one diagonal segment
+    All samples sharing a score enter together, producing one diagonal segment
     for the whole block.
     """
     tp, fp, pos_total, neg_total = _score_sweep(dataset)
@@ -236,7 +236,8 @@ def lxcim(dataset: Dataset, spec: DecisionSpec) -> float:
     cw, cc = _group_boundaries(view)
     total = view.cum_weight[-1]
     doubled_area = float(np.sum((cw[1:] - cw[:-1]) * (cc[1:] + cc[:-1])))
-    return doubled_area / float(total * total)
+    # rounding can land one ulp above a perfect score
+    return min(doubled_area / float(total * total), 1.0)
 
 
 def accuracy_rate_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
@@ -272,7 +273,7 @@ def audrc(dataset: Dataset, spec: DecisionSpec) -> float:
     g_at[view.group_ends - 1] = cc[1:]
     acc_at = g_at / view.cum_weight
     total = view.cum_weight[-1]
-    return float(np.sum(view.weight * acc_at)) / float(total)
+    return min(float(np.sum(view.weight * acc_at)) / float(total), 1.0)
 
 
 def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:

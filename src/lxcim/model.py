@@ -1,4 +1,4 @@
-"""Core data model: samples, datasets, decision specs, and confidence ranking.
+"""Core data model: datasets, decision specs, and confidence ranking.
 
 A binary decision rule here is "predict 1 iff score > s_star".  A
 :class:`DecisionSpec` bundles that threshold with a confidence map (how far a
@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyDatasetError
 
 __all__ = [
-    "Sample",
     "Dataset",
     "DecisionSpec",
     "RankedView",
@@ -30,28 +29,6 @@ __all__ = [
     "validate_decision_spec",
     "rank_by_confidence",
 ]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One scored prediction: raw score, true label (0/1), positive weight."""
-
-    score: float
-    label: int
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        score = float(self.score)
-        weight = float(self.weight)
-        if not math.isfinite(score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
-        if isinstance(self.label, bool) or self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise ValueError(f"weight must be finite and > 0, got {self.weight!r}")
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "weight", weight)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -112,20 +89,6 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[Sample | Sequence]) -> "Dataset":
-        """Build a dataset from Sample objects or (score, label[, weight]) tuples."""
-        scores: list[float] = []
-        labels: list[int] = []
-        weights: list[float] = []
-        for item in samples:
-            if not isinstance(item, Sample):
-                item = Sample(*item)
-            scores.append(item.score)
-            labels.append(item.label)
-            weights.append(item.weight)
-        return cls(scores, labels, weights)
-
     @property
     def n(self) -> int:
         return len(self.scores)
@@ -134,21 +97,8 @@ class Dataset:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    @property
-    def samples(self) -> tuple[Sample, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __iter__(self) -> Iterator[Sample]:
-        for s, y, w in zip(self.scores, self.labels, self.weights):
-            yield Sample(float(s), int(y), float(w))
-
-    def __getitem__(self, index: int) -> Sample:
-        return Sample(
-            float(self.scores[index]), int(self.labels[index]), float(self.weights[index])
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -166,14 +116,14 @@ class Dataset:
 
 
 def _apply_map(fn: Callable, values: np.ndarray) -> np.ndarray:
-    """Apply a scalar-or-vectorized map over a 1-d float array."""
-    try:
-        out = np.asarray(fn(values), dtype=float)
-        if out.shape == values.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(float(v))) for v in values], dtype=float)
+    """Apply a vectorized map over a 1-d float array."""
+    out = np.asarray(fn(values), dtype=float)
+    if out.shape != values.shape:
+        raise ValueError(
+            f"confidence and reflection maps must be vectorized: input shape "
+            f"{values.shape} gave output shape {out.shape}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,8 +133,8 @@ class DecisionSpec:
     ``confidence`` must be zero at ``s_star``, positive elsewhere, strictly
     decreasing below the threshold and strictly increasing above it.
     ``reflect`` must map each score to the opposite-side score with the same
-    confidence (an involution that fixes ``s_star``).  Both maps may be plain
-    scalar functions; vectorized callables are used as-is.
+    confidence (an involution that fixes ``s_star``).  Both maps must be
+    vectorized: called on a float array, they return an array of its shape.
     """
 
     s_star: float
@@ -383,11 +333,6 @@ class RankedView:
     @property
     def total_weight(self) -> float:
         return float(self.cum_weight[-1])
-
-    @property
-    def tie_groups(self) -> tuple[tuple[int, int], ...]:
-        starts = np.concatenate(([0], self.group_ends[:-1]))
-        return tuple((int(a), int(b)) for a, b in zip(starts, self.group_ends))
 
 
 def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:

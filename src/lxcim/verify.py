@@ -92,18 +92,17 @@ def brute_lxcim(dataset: Dataset, spec: DecisionSpec, subdivisions: int = 200_00
 def _area_left_of(curve: Curve, x_stop: float) -> float:
     """Trapezoid area under a piecewise-linear curve from x = 0 to x_stop."""
     xs, ys = curve.x, curve.y
-    area = 0.0
-    for k in range(1, len(xs)):
-        x0, x1 = float(xs[k - 1]), float(xs[k])
-        y0, y1 = float(ys[k - 1]), float(ys[k])
-        if x1 <= x_stop:
-            area += (x1 - x0) * (y0 + y1) / 2.0
-            continue
-        if x0 < x_stop:
-            t = (x_stop - x0) / (x1 - x0)
-            y_cut = y0 + t * (y1 - y0)
-            area += (x_stop - x0) * (y0 + y_cut) / 2.0
-        break
+    # x is non-decreasing, so the segments wholly left of x_stop are a prefix;
+    # cumsum adds them in sweep order, as a running total would
+    j = max(int(np.searchsorted(xs, x_stop, side="right")), 1)
+    whole = np.cumsum((xs[1:j] - xs[: j - 1]) * (ys[: j - 1] + ys[1:j]) / 2.0)
+    area = float(whole[-1]) if len(whole) else 0.0
+    if j < len(xs) and xs[j - 1] < x_stop:
+        x0, x1 = float(xs[j - 1]), float(xs[j])
+        y0, y1 = float(ys[j - 1]), float(ys[j])
+        t = (x_stop - x0) / (x1 - x0)
+        y_cut = y0 + t * (y1 - y0)
+        area += (x_stop - x0) * (y0 + y_cut) / 2.0
     return area
 
 
@@ -180,18 +179,17 @@ def verify_crossing_point(
     acc = accuracy(dataset, spec)
     xs, ys = curve.x, curve.y
     gap = xs + ys - 1.0
-    found = (float(xs[-1]), float(ys[-1]))
-    for k in range(len(xs)):
-        if gap[k] >= 0.0:
-            if gap[k] == 0.0 or k == 0:
-                found = (float(xs[k]), float(ys[k]))
-            else:
-                t = -gap[k - 1] / (gap[k] - gap[k - 1])
-                found = (
-                    float(xs[k - 1] + t * (xs[k] - xs[k - 1])),
-                    float(ys[k - 1] + t * (ys[k] - ys[k - 1])),
-                )
-            break
+    k = int(np.argmax(gap >= 0.0))  # first point on or past the crossing
+    if gap[k] < 0.0:
+        found = (float(xs[-1]), float(ys[-1]))
+    elif gap[k] == 0.0 or k == 0:
+        found = (float(xs[k]), float(ys[k]))
+    else:
+        t = -gap[k - 1] / (gap[k] - gap[k - 1])
+        found = (
+            float(xs[k - 1] + t * (xs[k] - xs[k - 1])),
+            float(ys[k - 1] + t * (ys[k] - ys[k - 1])),
+        )
     expected = (1.0 - acc, acc)
     deviation = max(abs(found[0] - expected[0]), abs(found[1] - expected[1]))
     return CrossingReport(

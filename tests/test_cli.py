@@ -57,6 +57,9 @@ class TestEval:
         with pytest.raises(SystemExit) as err:
             run(["eval", "--input", d0_csv, "--prob", "--s-star", "1"])
         assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            run(["eval", "--input", d0_csv, "--s-star", "nan"])
+        assert err.value.code == 2
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert run(["eval", "--input", tmp_path / "absent.csv"]) == 3

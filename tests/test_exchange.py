@@ -6,16 +6,15 @@ from lxcim import (
     Dataset,
     EmptyDatasetError,
     ExchangeMask,
+    ExchangeWitness,
     InfeasiblePerturbationError,
     InvalidMaskError,
-    Sample,
     accuracy,
     audrc,
     auroc,
     check_categorical_lxc_invariance,
     check_rank_lxc_invariance,
     duplicate_dataset,
-    exchange_sample,
     exchange_subset,
     f1_score,
     lxcim,
@@ -28,31 +27,35 @@ from conftest import random_dataset
 
 
 class TestExchangeSample:
+    """The exchange acting on one row, or on every row of a dataset at once."""
+
     def test_positive_side(self, spec0):
-        assert exchange_sample(Sample(1.0, 0), spec0) == Sample(-1.0, 1)
+        assert exchange_subset(Dataset([1.0], [0]), [0], spec0) == Dataset([-1.0], [1])
 
     def test_negative_side_keeps_weight(self, spec0):
-        assert exchange_sample(Sample(-4.0, 0, 2.5), spec0) == Sample(4.0, 1, 2.5)
+        out = exchange_subset(Dataset([-4.0], [0], [2.5]), [0], spec0)
+        assert out == Dataset([4.0], [1], [2.5])
 
     def test_threshold_sample_is_fixed_point(self):
         spec = make_abs_spec(0.5)
-        assert exchange_sample(Sample(0.5, 1), spec) == Sample(0.5, 1)
+        assert exchange_subset(Dataset([0.5], [1]), [0], spec) == Dataset([0.5], [1])
 
     def test_involution_is_exact(self, spec0):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = Sample(float(rng.uniform(-50, 50)) or 1.0, int(rng.integers(0, 2)))
-            assert exchange_sample(exchange_sample(x, spec0), spec0) == x
+        scores = rng.uniform(-50, 50, 200)
+        d = Dataset(np.where(scores == 0.0, 1.0, scores), rng.integers(0, 2, 200))
+        everything = range(len(d))
+        assert exchange_subset(exchange_subset(d, everything, spec0), everything, spec0) == d
 
     def test_preserves_confidence_and_correctness(self, spec0):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            x = Sample(float(rng.uniform(-9, 9)) or 1.0, int(rng.integers(0, 2)))
-            y = exchange_sample(x, spec0)
-            assert spec0.confidence_at(y.score) == spec0.confidence_at(x.score)
-            x_correct = (x.score > 0) == bool(x.label)
-            y_correct = (y.score > 0) == bool(y.label)
-            assert x_correct == y_correct
+        scores = rng.uniform(-9, 9, 100)
+        d = Dataset(np.where(scores == 0.0, 1.0, scores), rng.integers(0, 2, 100))
+        out = exchange_subset(d, range(len(d)), spec0)
+        assert np.array_equal(spec0.confidence_at(out.scores), spec0.confidence_at(d.scores))
+        assert np.array_equal(
+            (out.scores > 0) == (out.labels == 1), (d.scores > 0) == (d.labels == 1)
+        )
 
 
 class TestExchangeSubset:
@@ -83,6 +86,20 @@ class TestExchangeSubset:
             ExchangeMask([-1])
         with pytest.raises(InvalidMaskError):
             ExchangeMask([1.5])
+        for bad in ([float("nan")], ["1"], [None], np.array([[1]])):
+            with pytest.raises(InvalidMaskError):
+                ExchangeMask(bad)
+
+    def test_mask_is_a_sorted_unique_index_array(self):
+        for given in ([2, 0, 2], range(0, 3, 2), (i for i in (2, 0)), np.array([2, 0]), [2.0, 0]):
+            mask = ExchangeMask(given)
+            assert mask.as_tuple() == (0, 2) and list(mask) == [0, 2]
+            assert mask == ExchangeMask([0, 2]) and hash(mask) == hash(ExchangeMask([0, 2]))
+        assert all(type(i) is int for i in mask.as_tuple())
+        assert 2 in mask and 1 not in mask and len(mask) == 2
+        assert mask.indices.dtype == np.int64 and not mask.indices.flags.writeable
+        witness = ExchangeWitness(trial=0, mask=mask, value=1.0, error=None)
+        assert witness.describe() == "trial 0, mask [0, 2]: value 1.0"
 
     def test_preserves_size_weight_and_confidence_multiset(self, spec0):
         rng = np.random.default_rng(2)

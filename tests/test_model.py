@@ -6,7 +6,6 @@ import pytest
 from lxcim import (
     Dataset,
     EmptyDatasetError,
-    Sample,
     make_abs_spec,
     predict,
     rank_by_confidence,
@@ -18,33 +17,35 @@ from conftest import random_dataset
 
 
 class TestSample:
-    def test_defaults_weight_to_one(self):
-        assert Sample(1.5, 1).weight == 1.0
+    """Validation of a single row, which Dataset does once for all rows."""
 
+    def test_defaults_weight_to_one(self):
+        assert Dataset([1.5], [1]).weights.tolist() == [1.0]
+
+    # kwargs3, a bool label, is gone: Dataset reads True/False as 1/0.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(score=float("nan"), label=0),
-            dict(score=float("inf"), label=0),
-            dict(score=0.0, label=2),
-            dict(score=0.0, label=True),
-            dict(score=0.0, label=0, weight=0.0),
-            dict(score=0.0, label=0, weight=-1.0),
-            dict(score=0.0, label=0, weight=float("nan")),
+            pytest.param(dict(score=float("nan"), label=0), id="kwargs0"),
+            pytest.param(dict(score=float("inf"), label=0), id="kwargs1"),
+            pytest.param(dict(score=0.0, label=2), id="kwargs2"),
+            pytest.param(dict(score=0.0, label=0, weight=0.0), id="kwargs4"),
+            pytest.param(dict(score=0.0, label=0, weight=-1.0), id="kwargs5"),
+            pytest.param(dict(score=0.0, label=0, weight=float("nan")), id="kwargs6"),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
-            Sample(**kwargs)
+            Dataset([kwargs["score"]], [kwargs["label"]], [kwargs.get("weight", 1.0)])
 
 
 class TestDataset:
     def test_round_trips_samples(self):
-        d = Dataset.from_samples([Sample(1.0, 1, 2.0), (-2.0, 0), (-3.0, 1, 0.5)])
+        rows = [(1.0, 1, 2.0), (-2.0, 0, 1.0), (-3.0, 1, 0.5)]
+        d = Dataset(*zip(*rows))
         assert len(d) == 3
-        assert d[1] == Sample(-2.0, 0, 1.0)
         assert d.total_weight == pytest.approx(3.5)
-        assert list(d) == [Sample(1.0, 1, 2.0), Sample(-2.0, 0, 1.0), Sample(-3.0, 1, 0.5)]
+        assert list(zip(d.scores.tolist(), d.labels.tolist(), d.weights.tolist())) == rows
 
     def test_equality_is_by_value(self):
         a = Dataset([1, -1], [1, 0], [1, 2])
@@ -160,11 +161,11 @@ class TestRankByConfidence:
         assert d0.scores[view.order].tolist() == [-4.0, -3.0, 2.0, 1.0]
         assert view.correct.astype(int).tolist() == [1, 0, 1, 0]
         assert view.cum_weight.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert len(view.tie_groups) == 4
+        assert view.group_ends.tolist() == [1, 2, 3, 4]
 
     def test_tied_confidences_form_one_group(self, tie_pair, spec0):
         view = rank_by_confidence(tie_pair, spec0)
-        assert view.tie_groups == ((0, 2),)
+        assert view.group_ends.tolist() == [2]
 
     def test_singleton(self, spec0):
         view = rank_by_confidence(Dataset([3.0], [1]), spec0)
@@ -176,8 +177,18 @@ class TestRankByConfidence:
             rank_by_confidence(Dataset([], []), spec0)
 
     def test_non_finite_confidence_rejected(self, d0):
+        spec = DecisionSpec(
+            s_star=0.0, confidence=lambda s: np.full_like(s, np.nan), reflect=lambda s: -s
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_by_confidence(d0, spec)
+
+    def test_scalar_only_map_rejected(self, d0):
+        spec = DecisionSpec(s_star=0.0, confidence=lambda s: math.fabs(s), reflect=lambda s: -s)
+        with pytest.raises(TypeError):
+            rank_by_confidence(d0, spec)
         spec = DecisionSpec(s_star=0.0, confidence=lambda s: math.nan, reflect=lambda s: -s)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vectorized"):
             rank_by_confidence(d0, spec)
 
     def test_canonical_under_input_permutation(self, spec0):

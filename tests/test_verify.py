@@ -14,12 +14,16 @@ from lxcim import (
     brute_lxcim,
     convergence_study,
     cumulative_accuracy_curve,
+    duplicate_dataset,
     generate,
     lxcim,
     report,
+    roc_curve,
     verify_crossing_point,
     verify_doubling_identity,
 )
+
+from lxcim.verify import _area_left_of
 
 from conftest import random_dataset
 
@@ -89,6 +93,29 @@ class TestDoublingIdentity:
     def test_tied_confidences(self, spec0):
         d = Dataset([1.0, -1.0, 1.0, 0.5], [1, 1, 0, 0], [1.0, 2.0, 1.5, 0.5])
         assert verify_doubling_identity(d, spec0).passed
+
+    def test_area_matches_running_sum(self, spec0):
+        def running_sum(xs, ys, x_stop):
+            area = 0.0
+            for x0, x1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+                if x1 <= x_stop:
+                    area += (x1 - x0) * (y0 + y1) / 2.0
+                    continue
+                if x0 < x_stop:
+                    y_cut = y0 + (x_stop - x0) / (x1 - x0) * (y1 - y0)
+                    area += (x_stop - x0) * (y0 + y_cut) / 2.0
+                break
+            return area
+
+        rng = np.random.default_rng(24)
+        for k in range(40):
+            d = random_dataset(rng, int(rng.integers(1, 60)))
+            if k % 2:
+                d = Dataset(np.round(d.scores, 1) + 0.05, d.labels, d.weights)
+            curve = roc_curve(duplicate_dataset(d, spec0))
+            xs, ys = curve.x.tolist(), curve.y.tolist()
+            for x_stop in (-0.5, 0.0, float(rng.random()), xs[len(xs) // 2], 1.0, 1.5):
+                assert _area_left_of(curve, x_stop) == running_sum(xs, ys, x_stop)
 
 
 class TestCrossingPoint:
