@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,15 +23,16 @@ from .errors import LxcimError
 from .exchange import check_rank_lxc_invariance, duplicate_dataset
 from .metrics import (
     CurveKind,
+    _accuracy_rate_curve,
+    _cumulative_accuracy_curve,
+    _report,
     accuracy,
-    accuracy_rate_curve,
     audrc,
     auroc,
-    cumulative_accuracy_curve,
     lxcim,
-    report,
     roc_curve,
 )
+from .model import rank_by_confidence
 from .svg import Series, line_chart
 from .verify import GeneratorConfig, GeneratorKind, convergence_study, generate
 
@@ -161,7 +163,8 @@ def _cmd_eval(parser, args) -> int:
     s_star = _resolve_s_star(parser, args)
     dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, s_star)
 
-    rep = report(dataset, spec)
+    view = rank_by_confidence(dataset, spec)
+    rep = _report(dataset, view)
     payload = {
         "lxcim": rep.lxcim,
         "accuracy": rep.accuracy,
@@ -170,19 +173,23 @@ def _cmd_eval(parser, args) -> int:
         "n": len(dataset),
         "total_weight": dataset.total_weight,
     }
+    for key, value in payload.items():
+        if value is not None and not math.isfinite(value):
+            print(f"lxcim: {key} is {value!r}: the weights overflow float arithmetic", file=sys.stderr)
+            return EXIT_DATA
 
     if args.curves_dir is not None:
         directory = Path(args.curves_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        _write_curve_artifacts(directory, cumulative_accuracy_curve(dataset, spec))
-        _write_curve_artifacts(directory, accuracy_rate_curve(dataset, spec))
+        _write_curve_artifacts(directory, _cumulative_accuracy_curve(view))
+        _write_curve_artifacts(directory, _accuracy_rate_curve(view))
         if rep.auroc is None:
             print("note: single-class data, skipping ROC artifacts", file=sys.stderr)
         else:
             _write_curve_artifacts(directory, roc_curve(dataset))
 
     if args.output == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     else:
         width = max(len(key) for key in payload)
         for key, value in payload.items():

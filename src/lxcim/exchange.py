@@ -129,11 +129,13 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
-    mirrored = exchange_subset(dataset, range(len(dataset)), spec)
+    scores, labels = dataset.scores, dataset.labels
+    # exchange every sample; one at the threshold is its own exchange
+    fixed = scores == spec.s_star
     return Dataset(
-        np.concatenate((dataset.scores, mirrored.scores)),
-        np.concatenate((dataset.labels, mirrored.labels)),
-        np.concatenate((dataset.weights, mirrored.weights)),
+        np.concatenate((scores, np.where(fixed, scores, spec.reflect_at(scores)))),
+        np.concatenate((labels, np.where(fixed, labels, 1 - labels))),
+        np.concatenate((dataset.weights, dataset.weights)),
     )
 
 

@@ -15,6 +15,10 @@ sweep, which weights early (high-confidence) decisions hardest.
 Tie policy: samples with equal confidence are admitted as one block, so G
 rises linearly across the block.  That equals averaging over every possible
 order within the block, so no ordering information is invented.
+
+Accuracy, LxCIM, AUDRC and the two decision-rate curves are private functions
+of one :class:`RankedView`; the public functions rank, then call them.
+``report`` ranks once for all three metrics.
 """
 
 from __future__ import annotations
@@ -156,7 +160,10 @@ def accuracy(dataset: Dataset, spec: DecisionSpec) -> float:
     Computed from the same cumulative sums as the decision-rate curves, so it
     coincides bit-for-bit with the cumulative accuracy curve's endpoint G(1).
     """
-    view = rank_by_confidence(dataset, spec)
+    return _accuracy(rank_by_confidence(dataset, spec))
+
+
+def _accuracy(view: RankedView) -> float:
     return float(view.cum_correct_weight[-1] / view.cum_weight[-1])
 
 
@@ -184,7 +191,11 @@ def roc_curve(dataset: Dataset) -> Curve:
     All samples sharing a score enter together, producing one diagonal segment
     for the whole block.
     """
-    tp, fp, pos_total, neg_total = _score_sweep(dataset)
+    return _roc_curve(_score_sweep(dataset))
+
+
+def _roc_curve(sweep) -> Curve:
+    tp, fp, pos_total, neg_total = sweep
     x = np.concatenate(([0.0], fp / neg_total))
     y = np.concatenate(([0.0], tp / pos_total))
     return Curve(kind=CurveKind.ROC, x=x, y=y)
@@ -196,7 +207,11 @@ def auroc(dataset: Dataset) -> float:
     Equal to the weighted probability that a random positive outscores a
     random negative, counting score ties as one half.
     """
-    tp, fp, pos_total, neg_total = _score_sweep(dataset)
+    return _auroc(_score_sweep(dataset))
+
+
+def _auroc(sweep) -> float:
+    tp, fp, pos_total, neg_total = sweep
     tp_prev = np.concatenate(([0.0], tp[:-1]))
     fp_prev = np.concatenate(([0.0], fp[:-1]))
     raw_area = float(np.sum((fp - fp_prev) * (tp + tp_prev))) / 2.0
@@ -218,7 +233,10 @@ def cumulative_accuracy_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
     across correct samples, 0 across incorrect ones, and the group's correct
     fraction across ties.  G(1) equals accuracy exactly.
     """
-    view = rank_by_confidence(dataset, spec)
+    return _cumulative_accuracy_curve(rank_by_confidence(dataset, spec))
+
+
+def _cumulative_accuracy_curve(view: RankedView) -> Curve:
     cw, cc = _group_boundaries(view)
     total = view.cum_weight[-1]
     return Curve(kind=CurveKind.CUM_ACC, x=cw / total, y=cc / total)
@@ -232,7 +250,10 @@ def lxcim(dataset: Dataset, spec: DecisionSpec) -> float:
     (weight) and g_k (correct weight), the doubled area is
     sum_k (c_k - c_{k-1}) * (g_{k-1} + g_k) / C^2.
     """
-    view = rank_by_confidence(dataset, spec)
+    return _lxcim(rank_by_confidence(dataset, spec))
+
+
+def _lxcim(view: RankedView) -> float:
     cw, cc = _group_boundaries(view)
     total = view.cum_weight[-1]
     doubled_area = float(np.sum((cw[1:] - cw[:-1]) * (cc[1:] + cc[:-1])))
@@ -247,7 +268,10 @@ def accuracy_rate_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
     ratio is undefined.  For a tie-free top sample the first value is exactly
     0 or 1; the final value is the overall accuracy.
     """
-    view = rank_by_confidence(dataset, spec)
+    return _accuracy_rate_curve(rank_by_confidence(dataset, spec))
+
+
+def _accuracy_rate_curve(view: RankedView) -> Curve:
     cw, cc = _group_boundaries(view)
     total = view.cum_weight[-1]
     return Curve(kind=CurveKind.ACC_RATE, x=cw[1:] / total, y=cc[1:] / cw[1:])
@@ -261,7 +285,10 @@ def audrc(dataset: Dataset, spec: DecisionSpec) -> float:
     factor concentrates mass on the most confident decisions.  (A segment
     closed form with log terms exists; the discrete sum is the contract.)
     """
-    view = rank_by_confidence(dataset, spec)
+    return _audrc(rank_by_confidence(dataset, spec))
+
+
+def _audrc(view: RankedView) -> float:
     cw, cc = _group_boundaries(view)
     n_groups = len(view.group_ends)
     sizes = np.diff(np.concatenate(([0], view.group_ends)))
@@ -277,14 +304,18 @@ def audrc(dataset: Dataset, spec: DecisionSpec) -> float:
 
 
 def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:
-    """All four metrics at once; auroc degrades to None for one-class data."""
+    """All four metrics at once, from one ranking; auroc is None for one-class data."""
+    return _report(dataset, rank_by_confidence(dataset, spec))
+
+
+def _report(dataset: Dataset, view: RankedView) -> MetricsReport:
     try:
         auroc_value: float | None = auroc(dataset)
     except SingleClassError:
         auroc_value = None
     return MetricsReport(
-        accuracy=accuracy(dataset, spec),
-        lxcim=lxcim(dataset, spec),
-        audrc=audrc(dataset, spec),
+        accuracy=_accuracy(view),
+        lxcim=_lxcim(view),
+        audrc=_audrc(view),
         auroc=auroc_value,
     )

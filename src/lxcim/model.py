@@ -307,11 +307,14 @@ class RankedView:
 
     ``order`` maps ranked positions to original dataset positions.  Runs of
     equal confidence are tie groups; within a group samples sit in a canonical
-    suborder keyed on (correctness, weight) first, the two attributes an
-    exchange preserves per sample, so every cumulative array here is identical
-    before and after exchanging any subset and independent of input order.
-    Score and label only break the remaining ties, between samples whose
-    relative order cannot affect the prefix sums.
+    suborder keyed on correctness (wrong first), then weight (light first), the
+    two attributes an exchange preserves per sample, so every cumulative array
+    here is identical before and after exchanging any subset and independent
+    of input order.  Side of the threshold (below first), then dataset
+    position, break the remaining ties, between samples whose relative order
+    cannot affect the prefix sums.  Under the DecisionSpec contract a tie group
+    holds at most one score per side, and correctness plus side fix the label,
+    so this is the order of (score, label) as well.
 
     ``cum_weight`` and ``cum_correct_weight`` are per-sample prefix sums of
     weight and of weight restricted to correctly predicted samples.
@@ -335,8 +338,39 @@ class RankedView:
         return float(self.cum_weight[-1])
 
 
+# From this many samples on, sorting by weight first and then radix-sorting the
+# narrow keys beats one lexsort over a float key (crossover near 200 on a
+# 2-core x86 VM with numpy 2.4)
+_WEIGHT_FIRST_MIN_N = 256
+
+
+def _canonical_ties(order, new_group, correct, predicted, weights) -> np.ndarray:
+    """Put tied samples in the canonical suborder of :class:`RankedView`.
+
+    ``order`` sorts by descending confidence with ties in any order, and
+    ``new_group`` marks where its confidence changes.  The result sorts by
+    (group, correctness, weight, side, position).
+    """
+    group_id = np.cumsum(new_group)
+    group = np.zeros(len(order), dtype=np.min_scalar_type(group_id[-1]))
+    group[order[1:]] = group_id
+    if len(order) >= _WEIGHT_FIRST_MIN_N:
+        # with all weights distinct, any sort by weight is the canonical one,
+        # and boolean and narrow integer keys get numpy's stable radix sort
+        by_weight = np.argsort(weights)
+        sorted_weights = weights[by_weight]
+        if (sorted_weights[1:] != sorted_weights[:-1]).all():
+            return by_weight[np.lexsort((correct[by_weight], group[by_weight]))]
+    return np.lexsort((predicted, weights, correct, group))
+
+
 def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     """Order a dataset by descending confidence and mark tie groups.
+
+    When the confidences are all distinct, one argsort gives the order.
+    Otherwise the tied samples are reordered into the canonical suborder;
+    the result equals one lexsort on (confidence, correctness, weight, score,
+    label, position) for any spec that meets the DecisionSpec contract.
 
     Raises EmptyDatasetError for an empty dataset and ValueError if the
     confidence map produces non-finite values.
@@ -349,20 +383,20 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
 
     predicted = dataset.scores > spec.s_star
     correct_all = predicted == dataset.labels.astype(bool)
-    # last lexsort key is primary: descending confidence, then wrong before
-    # right and light before heavy; exchanges preserve both of those keys,
-    # so tied samples land on the same boundaries after any exchange
-    order = np.lexsort(
-        (dataset.labels, dataset.scores, dataset.weights, correct_all, -conf)
-    )
+    order = np.argsort(-conf)
     conf_r = conf[order]
+    new_group = conf_r[1:] != conf_r[:-1]
+    if not new_group.all():
+        # wrong before right and light before heavy: exchanges preserve both
+        # keys, so tied samples land on the same boundaries after any exchange
+        order = _canonical_ties(order, new_group, correct_all, predicted, dataset.weights)
+        conf_r = conf[order]  # tied values can still differ in the sign of zero
     weight_r = dataset.weights[order]
     correct = correct_all[order]
 
     cum_weight = np.cumsum(weight_r)
     cum_correct = np.cumsum(weight_r * correct)
-    breaks = np.nonzero(conf_r[1:] != conf_r[:-1])[0] + 1
-    group_ends = np.concatenate((breaks, [len(conf_r)]))
+    group_ends = np.concatenate((new_group.nonzero()[0] + 1, [len(order)]))
 
     for arr in (order, conf_r, correct, weight_r, cum_weight, cum_correct, group_ends):
         arr.setflags(write=False)

@@ -19,8 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, SingleClassError
-from .metrics import Curve, accuracy, accuracy_rate_curve, auroc, cumulative_accuracy_curve, lxcim, roc_curve
-from .model import Dataset, DecisionSpec, make_abs_spec
+from .metrics import (
+    Curve,
+    _accuracy,
+    _accuracy_rate_curve,
+    _auroc,
+    _cumulative_accuracy_curve,
+    _lxcim,
+    _roc_curve,
+    _score_sweep,
+    accuracy,
+    roc_curve,
+)
+from .model import Dataset, DecisionSpec, make_abs_spec, rank_by_confidence
 from .exchange import duplicate_dataset
 
 __all__ = [
@@ -136,10 +147,12 @@ def verify_doubling_identity(
     duplication and unbalance the two sides).
     """
     doubled = duplicate_dataset(dataset, spec)
-    lx = lxcim(dataset, spec)
-    au = auroc(doubled)
-    acc = accuracy(dataset, spec)
-    h = _area_left_of(roc_curve(doubled), 1.0 - acc)
+    view = rank_by_confidence(dataset, spec)
+    sweep = _score_sweep(doubled)  # shared by the AUROC and the ROC curve
+    lx = _lxcim(view)
+    au = _auroc(sweep)
+    acc = _accuracy(view)
+    h = _area_left_of(_roc_curve(sweep), 1.0 - acc)
     return DoublingReport(
         lxcim_original=lx,
         auroc_duplicated=au,
@@ -330,9 +343,9 @@ def convergence_study(
             config = GeneratorConfig(
                 kind=GeneratorKind.RANDOM, n=size, seed=_study_seed(base_seed, size_index, draw)
             )
-            dataset = generate(config)
-            cum = cumulative_accuracy_curve(dataset, spec)
-            rate = accuracy_rate_curve(dataset, spec)
+            view = rank_by_confidence(generate(config), spec)
+            cum = _cumulative_accuracy_curve(view)
+            rate = _accuracy_rate_curve(view)
             cum_devs[draw] = float(np.max(np.abs(cum.y - cum.x / 2.0)))
             head = rate.x <= 0.1
             head[0] = True  # the first decision always counts as "early"

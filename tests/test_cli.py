@@ -89,6 +89,22 @@ class TestEval:
         svg = (curves / "roc.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg and "random" in svg
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("output", ["json", "table"])
+    @pytest.mark.parametrize("weight", ["1e300", "1e308"], ids=["metric-overflow", "total-overflow"])
+    def test_non_finite_result_is_data_error(self, tmp_path, capsys, weight, output):
+        # squared totals overflow to nan; two 1e308 weights sum to inf
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            f"score,label,weight\n0.5,1,{weight}\n-0.5,0,{weight}\n0.2,0,{weight}\n",
+            encoding="utf-8",
+        )
+        assert run(["eval", "--input", path, "--output", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lxcim: ")
+        assert "nan" in captured.err or "inf" in captured.err
+
     def test_single_class_skips_roc_artifacts(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("score,label\n1,1\n-2,1\n", encoding="utf-8")

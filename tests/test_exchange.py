@@ -153,6 +153,26 @@ class TestDuplicateDataset:
         with pytest.raises(EmptyDatasetError):
             duplicate_dataset(Dataset([], []), spec0)
 
+    @pytest.mark.parametrize("s_star", [0.0, 0.5])
+    def test_second_half_is_the_full_exchange(self, s_star):
+        # rows exactly at the threshold are their own exchange
+        spec = make_abs_spec(s_star)
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 9, 400):
+            d = Dataset(
+                np.round(rng.uniform(s_star - 1.0, s_star + 1.0, n), 1),
+                rng.integers(0, 2, n),
+                rng.uniform(0.05, 2.0, n),
+            )
+            mirrored = exchange_subset(d, range(n), spec)
+            doubled = duplicate_dataset(d, spec)
+            for name in ("scores", "labels", "weights"):
+                got = getattr(doubled, name)
+                expected = np.concatenate((getattr(d, name), getattr(mirrored, name)))
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), name
+        assert np.any(d.scores == s_star)  # the 400-row set has rows at the threshold
+
 
 class TestRankInvarianceChecker:
     def test_lxcim_and_audrc_hold_on_worked_example(self, d0, spec0):

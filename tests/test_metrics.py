@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,13 @@ from lxcim import (
     cumulative_accuracy_curve,
     lxcim,
     make_abs_spec,
+    rank_by_confidence,
     report,
     roc_curve,
+    verify_crossing_point,
+    verify_doubling_identity,
 )
+from lxcim.cli import main
 
 from conftest import random_dataset
 
@@ -284,3 +290,38 @@ class TestCurveType:
         curve = Curve(CurveKind.ACC_RATE, np.array([0.5, 1.0]), np.array([1.0, 0.75]))
         assert curve.points == ((0.5, 1.0), (1.0, 0.75))
         assert len(curve) == 2
+
+
+class TestRankOnce:
+    """Each evaluation ranks its dataset once and reads every metric off that view."""
+
+    @pytest.fixture()
+    def rank_calls(self, monkeypatch):
+        calls = []
+
+        def counting(dataset, spec):
+            calls.append(len(dataset))
+            return rank_by_confidence(dataset, spec)
+
+        # every lxcim module that imported the ranking gets the counting one
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lxcim" and getattr(module, "rank_by_confidence", None) is rank_by_confidence:
+                monkeypatch.setattr(module, "rank_by_confidence", counting)
+        return calls
+
+    def test_report(self, d0, spec0, rank_calls):
+        report(d0, spec0)
+        assert rank_calls == [4]
+
+    def test_eval_with_curves(self, tmp_path, rank_calls, capsys):
+        path = tmp_path / "d0.csv"
+        path.write_text("score,label\n-4,0\n-3,1\n1,0\n2,1\n", encoding="utf-8")
+        assert main(["eval", "--input", str(path), "--curves-dir", str(tmp_path / "curves")]) == 0
+        assert rank_calls == [4]
+        assert len(list((tmp_path / "curves").iterdir())) == 6
+
+    def test_verify(self, d0, spec0, rank_calls):
+        verify_doubling_identity(d0, spec0)
+        assert rank_calls == [4]
+        verify_crossing_point(d0, spec0)
+        assert rank_calls == [4, 4]

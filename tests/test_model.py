@@ -210,3 +210,106 @@ class TestRankByConfidence:
         view = rank_by_confidence(d, spec0)
         assert np.all(np.diff(view.cum_weight) > 0)
         assert view.total_weight == view.cum_weight[-1]
+
+
+_VIEW_FIELDS = (
+    "order",
+    "confidence",
+    "correct",
+    "weight",
+    "cum_weight",
+    "cum_correct_weight",
+    "group_ends",
+)
+
+
+def lexsort_view(dataset, spec):
+    """Reference ranking: one 5-key lexsort over every sample.
+
+    Descending confidence, then wrong before right, light before heavy, low
+    score before high, label 0 before 1, and dataset position last.
+    """
+    conf = spec.confidence_at(dataset.scores)
+    correct = (dataset.scores > spec.s_star) == dataset.labels.astype(bool)
+    order = np.lexsort((dataset.labels, dataset.scores, dataset.weights, correct, -conf))
+    conf_r = conf[order]
+    weight = dataset.weights[order]
+    correct_r = correct[order]
+    breaks = np.nonzero(conf_r[1:] != conf_r[:-1])[0] + 1
+    return {
+        "order": order,
+        "confidence": conf_r,
+        "correct": correct_r,
+        "weight": weight,
+        "cum_weight": np.cumsum(weight),
+        "cum_correct_weight": np.cumsum(weight * correct_r),
+        "group_ends": np.concatenate((breaks, [len(conf_r)])),
+    }
+
+
+def _oracle_dataset(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(-1.0, 1.0, n)
+    labels = rng.integers(0, 2, n)
+    if kind == "continuous":
+        return Dataset(scores, labels, rng.uniform(0.05, 2.0, n))
+    if kind == "tied":
+        # two decimals: about 100 tie groups, and rows at the threshold
+        return Dataset(np.round(scores, 2), labels, rng.uniform(0.05, 2.0, n))
+    if kind == "duplicate-rows":
+        pool = np.round(rng.uniform(-1.0, 1.0, 12), 1)
+        rows = rng.integers(0, len(pool), n)
+        return Dataset(pool[rows], rows % 2)
+    if kind == "random-weights":
+        # few distinct weights, so equal-weight ties span both sides
+        return Dataset(np.round(scores, 1), labels, rng.choice([0.5, 1.0, 1.5, 2.0], n))
+    raise AssertionError(kind)
+
+
+class TestRankingOracle:
+    """The ranking is the 5-key lexsort's, array for array and bit for bit."""
+
+    def assert_matches(self, dataset, spec):
+        view = rank_by_confidence(dataset, spec)
+        expected = lexsort_view(dataset, spec)
+        for field in _VIEW_FIELDS:
+            got = getattr(view, field)
+            assert got.dtype == expected[field].dtype, field
+            assert got.tobytes() == expected[field].tobytes(), field
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 300, 5000])
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "duplicate-rows", "random-weights"])
+    def test_matches_lexsort(self, kind, n, spec0):
+        for seed in range(3):
+            self.assert_matches(_oracle_dataset(kind, n, seed), spec0)
+
+    def test_matches_lexsort_with_signed_zero_confidence(self):
+        # a map that breaks the contract by being zero on [-1, 1] puts -0.0
+        # and 0.0 in one tie group, with one score on each side
+        spec = DecisionSpec(
+            s_star=0.0,
+            confidence=lambda s: np.where(np.abs(s) <= 1.0, np.copysign(0.0, s), np.abs(s)),
+            reflect=lambda s: -s,
+        )
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+            scores = np.array([-3.0, -1.0, 1.0, 2.0])[perm]
+            self.assert_matches(Dataset(scores, (scores > 0).astype(int)), spec)
+
+    def test_matches_lexsort_at_probability_threshold(self):
+        rng = np.random.default_rng(11)
+        p = np.round(rng.uniform(0.0, 1.0, 2000), 2)
+        d = Dataset(p, rng.integers(0, 2, 2000), rng.choice([0.25, 1.0, 4.0], 2000))
+        self.assert_matches(d, make_abs_spec(0.5))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("decimals,n", [(4, 20_000), (6, 150_000)], ids=["256+groups", "65536+groups"])
+    def test_matches_lexsort_with_many_tie_groups(self, decimals, n, weighted, spec0):
+        # group indices past 255 and past 65535 need wider integer keys
+        rng = np.random.default_rng(12)
+        scores = np.round(rng.uniform(-1.0, 1.0, n), decimals)
+        weights = rng.uniform(0.05, 2.0, n) if weighted else None
+        d = Dataset(scores, rng.integers(0, 2, n), weights)
+        view = rank_by_confidence(d, spec0)
+        assert len(view.group_ends) > (256 if decimals == 4 else 65536)
+        assert np.any(np.diff(view.group_ends) > 1)
+        self.assert_matches(d, spec0)
