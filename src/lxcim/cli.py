@@ -26,11 +26,12 @@ from .metrics import (
     _accuracy_rate_curve,
     _cumulative_accuracy_curve,
     _report,
+    _roc_curve,
+    _two_class_sweep,
     accuracy,
     audrc,
     auroc,
     lxcim,
-    roc_curve,
 )
 from .model import rank_by_confidence
 from .svg import Series, line_chart
@@ -164,7 +165,8 @@ def _cmd_eval(parser, args) -> int:
     dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, s_star)
 
     view = rank_by_confidence(dataset, spec)
-    rep = _report(dataset, view)
+    sweep = _two_class_sweep(dataset)  # shared by the AUROC and the ROC curve
+    rep = _report(view, sweep)
     payload = {
         "lxcim": rep.lxcim,
         "accuracy": rep.accuracy,
@@ -183,10 +185,10 @@ def _cmd_eval(parser, args) -> int:
         directory.mkdir(parents=True, exist_ok=True)
         _write_curve_artifacts(directory, _cumulative_accuracy_curve(view))
         _write_curve_artifacts(directory, _accuracy_rate_curve(view))
-        if rep.auroc is None:
+        if sweep is None:
             print("note: single-class data, skipping ROC artifacts", file=sys.stderr)
         else:
-            _write_curve_artifacts(directory, roc_curve(dataset))
+            _write_curve_artifacts(directory, _roc_curve(sweep))
 
     if args.output == "json":
         print(json.dumps(payload, allow_nan=False))
@@ -236,13 +238,7 @@ def _cmd_duplicate(parser, args) -> int:
     doubled = duplicate_dataset(dataset, spec)
     if negative is None:
         negative = "0" if args.positive_label != "0" else "1"
-    try:
-        file_io.write_prediction_file(
-            args.output, doubled, args.format, args.positive_label, negative
-        )
-    except OSError as exc:
-        print(f"lxcim: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_DATA
+    file_io.write_prediction_file(args.output, doubled, args.format, args.positive_label, negative)
     print(f"wrote {len(doubled)} rows to {args.output}")
     return EXIT_OK
 
@@ -252,11 +248,7 @@ def _cmd_synth(parser, args) -> int:
         kind=GeneratorKind(args.kind), n=args.n, seed=args.seed, p=args.p
     )
     dataset = generate(config)
-    try:
-        file_io.write_prediction_file(args.output, dataset, args.format)
-    except OSError as exc:
-        print(f"lxcim: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_DATA
+    file_io.write_prediction_file(args.output, dataset, args.format)
     print(f"wrote {len(dataset)} rows to {args.output}")
     return EXIT_OK
 

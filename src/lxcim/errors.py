@@ -43,8 +43,10 @@ class InfeasiblePerturbationError(LxcimError):
 class PredictionFileError(LxcimError):
     """Problem with an on-disk prediction file.
 
-    Carries the offending path and, when known, the 1-based data-row number so
-    CLI messages can point at the exact line.
+    Carries the offending path and, when known, ``row``: the 1-based index of
+    the data row, the same in CSV and JSONL.  The CSV header and blank lines
+    are not counted, so row k is the k-th sample of the dataset the file reads
+    as.
     """
 
     def __init__(self, message: str, *, path: str | None = None, row: int | None = None):

@@ -305,17 +305,21 @@ def _audrc(view: RankedView) -> float:
 
 def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:
     """All four metrics at once, from one ranking; auroc is None for one-class data."""
-    return _report(dataset, rank_by_confidence(dataset, spec))
+    return _report(rank_by_confidence(dataset, spec), _two_class_sweep(dataset))
 
 
-def _report(dataset: Dataset, view: RankedView) -> MetricsReport:
+def _two_class_sweep(dataset: Dataset):
+    """The score sweep, or None when one class carries all the weight."""
     try:
-        auroc_value: float | None = auroc(dataset)
+        return _score_sweep(dataset)
     except SingleClassError:
-        auroc_value = None
+        return None
+
+
+def _report(view: RankedView, sweep) -> MetricsReport:
     return MetricsReport(
         accuracy=_accuracy(view),
         lxcim=_lxcim(view),
         audrc=_audrc(view),
-        auroc=auroc_value,
+        auroc=None if sweep is None else _auroc(sweep),
     )

@@ -179,8 +179,6 @@ def make_abs_spec(s_star: float = 0.0) -> DecisionSpec:
     usual probability setup (scores in [0, 1] with s_star = 0.5).
     """
     a = float(s_star)
-    if not math.isfinite(a):
-        raise ValueError(f"s_star must be finite, got {s_star!r}")
     return DecisionSpec(s_star=a, confidence=lambda s: abs(s - a), reflect=lambda s: a - (s - a))
 
 

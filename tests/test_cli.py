@@ -89,6 +89,19 @@ class TestEval:
         svg = (curves / "roc.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg and "random" in svg
 
+    @pytest.mark.parametrize("key", ["score", "weight"])
+    def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys, key):
+        path = tmp_path / "huge.jsonl"
+        huge = "1" + "0" * 400
+        path.write_text(
+            '{"score": -1, "label": 0}\n' + f'{{"score": 1, "label": 1, "{key}": {huge}}}\n',
+            encoding="utf-8",
+        )
+        assert run(["eval", "--input", path, "--format", "jsonl"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: row 2: {key} must be finite" in captured.err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("output", ["json", "table"])
     @pytest.mark.parametrize("weight", ["1e300", "1e308"], ids=["metric-overflow", "total-overflow"])
@@ -178,10 +191,18 @@ class TestDuplicate:
         assert back.labels.tolist() == [1, 0, 0, 1]
 
     def test_unwritable_output(self, d0_csv, tmp_path, capsys):
-        assert run(["duplicate", "--input", d0_csv, "--output", tmp_path / "no" / "x.csv"]) == 3
+        output = tmp_path / "no" / "x.csv"
+        assert run(["duplicate", "--input", d0_csv, "--output", output]) == 3
+        assert str(output) in capsys.readouterr().err
 
 
 class TestSynth:
+    def test_unwritable_output(self, tmp_path, capsys):
+        output = tmp_path / "no" / "x.csv"
+        assert run(["synth", "--kind", "random", "--n", 5, "--output", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(output) in captured.err
+
     def test_deterministic_output(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from lxcim import (
     write_curve_csv,
     write_prediction_file,
 )
-from lxcim.io import build_dataset, read_prediction_rows
+from lxcim.io import PredictionColumns, build_dataset, read_prediction_rows
 
 from conftest import random_dataset
 
@@ -144,6 +145,18 @@ class TestJsonlIngest:
         with pytest.raises(ParseError):
             ingest(path, "jsonl")
 
+    @pytest.mark.parametrize("key", ["score", "weight"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, key, sign):
+        huge = sign + "1" + "0" * 400
+        row = {"score": "-1.0", "label": "0", "weight": "2.0", key: huge}
+        line = '{{"score": {score}, "label": {label}, "weight": {weight}}}\n'.format(**row)
+        path = write(tmp_path / "p.jsonl", '{"score": 1.0, "label": 1}\n' + line)
+        with pytest.raises(NonFiniteValueError) as err:
+            ingest(path, "jsonl")
+        assert err.value.row == 2
+        assert f"{key} must be" in str(err.value)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -178,6 +191,65 @@ class TestRoundTrip:
             write_prediction_file(tmp_path / "x.csv", Dataset([1.0], [1]), "csv", "a", "a")
 
 
+class TestRowNumbers:
+    """``row`` is the 1-based data-row index; blank lines are not counted."""
+
+    CASES = {
+        "bad-score": (
+            ParseError, 2,
+            "score,label\n1,a\n\nabc,b\n",
+            '{"score": 1, "label": "a"}\n\n{"score": "abc", "label": "b"}\n',
+        ),
+        "bad-weight": (
+            NonPositiveWeightError, 2,
+            "score,label,weight\n1,a,1\n\n-1,b,0\n",
+            '{"score": 1, "label": "a"}\n\n{"score": -1, "label": "b", "weight": 0}\n',
+        ),
+        "unparsable-weight": (
+            ParseError, 2,
+            "score,label,weight\n1,a,1\n\n-1,b,x\n",
+            '{"score": 1, "label": "a"}\n\n{"score": -1, "label": "b", "weight": "x"}\n',
+        ),
+        "third-label": (
+            UnknownLabelError, 3,
+            "score,label\n1,a\n\n-1,b\n2,c\n",
+            '{"score": 1, "label": "a"}\n\n{"score": -1, "label": "b"}\n{"score": 2, "label": "c"}\n',
+        ),
+        "bad-score-after-labels": (
+            ParseError, 3,
+            "score,label\n1,a\n\n-1,b\nxyz,c\n",
+            '{"score": 1, "label": "a"}\n\n{"score": -1, "label": "b"}\n{"score": "xyz", "label": "c"}\n',
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blank_line_not_counted(self, tmp_path, case, fmt):
+        error, row, csv_text, jsonl_text = self.CASES[case]
+        path = write(tmp_path / f"p.{fmt}", csv_text if fmt == "csv" else jsonl_text)
+        with pytest.raises(error) as err:
+            ingest(path, fmt, positive_label="a")
+        assert err.value.row == row
+        assert f"row {row}: " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, error, row",
+        [
+            ("score,label\nnan,a\nabc,b\n", NonFiniteValueError, 1),
+            ("score,label,weight\n1,a,0\n1,,1\n", NonPositiveWeightError, 1),
+            ("score,label,weight\n1,a,1\n-1,a\n1,b,-1\n", ParseError, 2),
+            # within a row: score, then label, then weight
+            ("score,label\ninf,\n", NonFiniteValueError, 1),
+            ("score,label,weight\n1,,0\n", ParseError, 1),
+        ],
+        ids=["value-before-parse", "weight-before-label", "parse-before-value", "score-first", "label-first"],
+    )
+    def test_first_bad_row_decides(self, tmp_path, text, error, row):
+        with pytest.raises(error) as err:
+            ingest(write(tmp_path / "p.csv", text), positive_label="a")
+        assert type(err.value) is error and err.value.row == row
+
+
 class TestBuildDataset:
     def test_negative_label_reported(self, tmp_path):
         path = write(tmp_path / "p.csv", "score,label\n1,yes\n-1,no\n")
@@ -185,9 +257,80 @@ class TestBuildDataset:
         _, _, negative = build_dataset(rows, "yes")
         assert negative == "no"
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rows_are_columns(self, tmp_path, fmt):
+        d = Dataset([0.5, -2.0, 3.0], [1, 0, 1], [2.0, 1.0, 0.25])
+        path = tmp_path / f"p.{fmt}"
+        write_prediction_file(path, d, fmt, positive_label="yes", negative_label="no")
+        rows = read_prediction_rows(path, fmt)
+        assert isinstance(rows, PredictionColumns) and len(rows) == 3
+        assert rows.scores.tolist() == [0.5, -2.0, 3.0]
+        assert rows.weights.tolist() == [2.0, 1.0, 0.25]
+        assert rows.labels == ["yes", "no", "yes"]
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             read_prediction_rows(tmp_path / "p.xml", "xml")
+
+
+def reference_prediction_file(path, dataset, fmt, positive_label="1", negative_label="0"):
+    """The row-at-a-time writer that the column writer must match byte for byte."""
+    names = (negative_label, positive_label)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle)
+            writer.writerow(["score", "label", "weight"])
+            for s, y, w in zip(dataset.scores, dataset.labels, dataset.weights):
+                writer.writerow([repr(float(s)), names[int(y)], repr(float(w))])
+        else:
+            for s, y, w in zip(dataset.scores, dataset.labels, dataset.weights):
+                record = {"score": float(s), "label": names[int(y)], "weight": float(w)}
+                handle.write(json.dumps(record) + "\n")
+
+
+def reference_curve_csv(path, curve):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "y"])
+        for x, y in zip(curve.x, curve.y):
+            writer.writerow([repr(float(x)), repr(float(y))])
+
+
+AWKWARD_FLOATS = [5e-324, 1e-308, 1e16, -0.0, 0.1 + 0.2]
+AWKWARD_LABELS = [
+    ("cause", 'eff,"ect'),
+    ("a,b", 'say "hi"'),
+    ("naïve", "Ω→∞ ünïcödé"),
+    (" spaced ", "  lead"),
+    ("1", "0"),
+]
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("labels", AWKWARD_LABELS, ids=lambda pair: repr(pair))
+    def test_prediction_file_matches_row_writer(self, tmp_path, fmt, labels):
+        scores = AWKWARD_FLOATS + [-x for x in AWKWARD_FLOATS] + [1.5]
+        weights = [abs(x) or 1.0 for x in AWKWARD_FLOATS] * 2 + [2.0]
+        d = Dataset(scores, [1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1], weights)
+        ours, theirs = tmp_path / f"ours.{fmt}", tmp_path / f"theirs.{fmt}"
+        write_prediction_file(ours, d, fmt, *labels)
+        reference_prediction_file(theirs, d, fmt, *labels)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_curve_matches_row_writer(self, tmp_path):
+        xs = np.sort(AWKWARD_FLOATS + [-1.0, 1.0])
+        curve = Curve(CurveKind.ACC_RATE, xs, -xs[::-1])
+        write_curve_csv(tmp_path / "ours.csv", curve)
+        reference_curve_csv(tmp_path / "theirs.csv", curve)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
+    def test_empty_dataset_writes_header_only(self, tmp_path):
+        d = Dataset([], [])
+        for fmt in ("csv", "jsonl"):
+            write_prediction_file(tmp_path / f"ours.{fmt}", d, fmt)
+            reference_prediction_file(tmp_path / f"theirs.{fmt}", d, fmt)
+            assert (tmp_path / f"ours.{fmt}").read_bytes() == (tmp_path / f"theirs.{fmt}").read_bytes()
 
 
 class TestCurveCsv:

@@ -25,6 +25,7 @@ from lxcim import (
     verify_doubling_identity,
 )
 from lxcim.cli import main
+from lxcim.metrics import _score_sweep
 
 from conftest import random_dataset
 
@@ -309,15 +310,30 @@ class TestRankOnce:
                 monkeypatch.setattr(module, "rank_by_confidence", counting)
         return calls
 
-    def test_report(self, d0, spec0, rank_calls):
+    @pytest.fixture()
+    def sweep_calls(self, monkeypatch):
+        calls = []
+
+        def counting(dataset):
+            calls.append(len(dataset))
+            return _score_sweep(dataset)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lxcim" and getattr(module, "_score_sweep", None) is _score_sweep:
+                monkeypatch.setattr(module, "_score_sweep", counting)
+        return calls
+
+    def test_report(self, d0, spec0, rank_calls, sweep_calls):
         report(d0, spec0)
         assert rank_calls == [4]
+        assert sweep_calls == [4]
 
-    def test_eval_with_curves(self, tmp_path, rank_calls, capsys):
+    def test_eval_with_curves(self, tmp_path, rank_calls, sweep_calls, capsys):
         path = tmp_path / "d0.csv"
         path.write_text("score,label\n-4,0\n-3,1\n1,0\n2,1\n", encoding="utf-8")
         assert main(["eval", "--input", str(path), "--curves-dir", str(tmp_path / "curves")]) == 0
         assert rank_calls == [4]
+        assert sweep_calls == [4]
         assert len(list((tmp_path / "curves").iterdir())) == 6
 
     def test_verify(self, d0, spec0, rank_calls):
