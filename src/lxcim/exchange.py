@@ -107,18 +107,34 @@ def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
     sitting exactly at the threshold is its own exchange.
     """
     idx = _coerce_mask(mask).indices
-    if len(idx) == 0:
-        return dataset
-    if idx[-1] >= len(dataset):
+    if len(idx) and idx[-1] >= len(dataset):
         raise InvalidMaskError(
             f"mask index {int(idx[-1])} out of range for dataset of size {len(dataset)}"
         )
-    scores = dataset.scores.copy()
-    labels = dataset.labels.copy()
+    return _exchange(dataset, idx, spec)
+
+
+def _finite(scores: np.ndarray) -> np.ndarray:
+    """Reflected ``scores`` as they are, refused if a user's reflection map overflowed."""
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must all be finite")
+    return scores
+
+
+def _exchange(dataset: Dataset, idx: np.ndarray, spec: DecisionSpec) -> Dataset:
+    """Exchange the rows at ``idx``: sorted, unique, in-range int64 positions.
+
+    The result shares the weights and is built without re-validation, since
+    flipped 0/1 labels stay 0/1; only the reflected scores are checked.
+    """
+    if len(idx) == 0:
+        return dataset
+    scores, labels = dataset.scores, dataset.labels
     movable = idx[scores[idx] != spec.s_star]
-    scores[movable] = spec.reflect_at(dataset.scores[movable])
-    labels[movable] = 1 - dataset.labels[movable]
-    return Dataset(scores, labels, dataset.weights)
+    new_scores, new_labels = scores.copy(), labels.copy()
+    new_scores[movable] = _finite(spec.reflect_at(scores[movable]))
+    new_labels[movable] = 1 - labels[movable]
+    return Dataset._from_valid(new_scores, new_labels, dataset.weights)
 
 
 def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
@@ -129,13 +145,13 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
-    scores, labels = dataset.scores, dataset.labels
+    scores, labels, weights = dataset.scores, dataset.labels, dataset.weights
     # exchange every sample; one at the threshold is its own exchange
     fixed = scores == spec.s_star
-    return Dataset(
-        np.concatenate((scores, np.where(fixed, scores, spec.reflect_at(scores)))),
+    return Dataset._from_valid(
+        np.concatenate((scores, _finite(np.where(fixed, scores, spec.reflect_at(scores))))),
         np.concatenate((labels, np.where(fixed, labels, 1 - labels))),
-        np.concatenate((dataset.weights, dataset.weights)),
+        np.concatenate((weights, weights)),
     )
 
 
@@ -181,29 +197,36 @@ def check_rank_lxc_invariance(
     exchanged dataset it accepted originally (e.g. AUROC turning single-class),
     is recorded as a witness.  Trials run sequentially from one seeded
     generator, so a witness is reproducible from (seed, trial).
+
+    A trial costs one O(N) exchange plus one metric call.  The drawn
+    positions are already sorted, unique and in range, so they are not
+    re-validated, and the exchanged dataset is built without re-checking its
+    arrays (see ``Dataset._from_valid``); an ``ExchangeMask`` is built only
+    for the witness.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     baseline = float(metric(dataset))
     rng = np.random.default_rng(seed)
+    n = len(dataset)
     max_deviation = 0.0
     witness: ExchangeWitness | None = None
     for trial in range(trials):
-        mask = ExchangeMask(np.nonzero(rng.random(len(dataset)) < 0.5)[0])
-        exchanged = exchange_subset(dataset, mask, spec)
+        idx = (rng.random(n) < 0.5).nonzero()[0]
+        exchanged = _exchange(dataset, idx, spec)
         try:
             value = float(metric(exchanged))
         except LxcimError as exc:
             max_deviation = math.inf
             if witness is None:
                 witness = ExchangeWitness(
-                    trial=trial, mask=mask, value=None, error=type(exc).__name__
+                    trial=trial, mask=ExchangeMask(idx), value=None, error=type(exc).__name__
                 )
             continue
         deviation = abs(value - baseline)
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
-            witness = ExchangeWitness(trial=trial, mask=mask, value=value, error=None)
+            witness = ExchangeWitness(trial=trial, mask=ExchangeMask(idx), value=value, error=None)
     return InvarianceReport(
         baseline=baseline,
         trials=trials,

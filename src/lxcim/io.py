@@ -110,21 +110,42 @@ def _label_text(value, path: str, row: int) -> str:
     return text
 
 
-def _read_csv(path: str, scores: list, labels: list, weights: list) -> None:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("file is empty (missing header)", path=path)
-        names = [cell.strip().lower().lstrip("﻿") for cell in header]
-        if "score" not in names or "label" not in names:
-            raise ParseError(
-                f"header must contain 'score' and 'label' columns, got {header!r}", path=path
-            )
-        score_col = names.index("score")
-        label_col = names.index("label")
-        weight_col = names.index("weight") if "weight" in names else None
+class _NotUtf8(Exception):
+    """A line of the file is not UTF-8 text (raised by :func:`_utf8_lines`)."""
 
+
+def _utf8_lines(handle):
+    """The lines of a binary file, decoded one at a time, so that text that is
+    not UTF-8 fails at its own line.  Lines end at CR, LF or CRLF, as in text
+    mode with ``newline=""``.
+    """
+    for chunk in handle:
+        for line in chunk.splitlines(keepends=True):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = line[exc.start]
+                raise _NotUtf8(f"not UTF-8 text: byte {bad:#04x} ({exc.reason})") from None
+
+
+def _read_csv(lines, path: str, scores: list, labels: list, weights: list) -> None:
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except (csv.Error, _NotUtf8) as exc:
+        raise ParseError(f"cannot read the header: {exc}", path=path) from None
+    if header is None:
+        raise ParseError("file is empty (missing header)", path=path)
+    names = [cell.strip().lower().lstrip("﻿") for cell in header]
+    if "score" not in names or "label" not in names:
+        raise ParseError(
+            f"header must contain 'score' and 'label' columns, got {header!r}", path=path
+        )
+    score_col = names.index("score")
+    label_col = names.index("label")
+    weight_col = names.index("weight") if "weight" in names else None
+
+    try:
         for cells in reader:
             if not cells or all(not cell.strip() for cell in cells):
                 continue
@@ -135,11 +156,13 @@ def _read_csv(path: str, scores: list, labels: list, weights: list) -> None:
             labels.append(_label_text(cells[label_col], path, row))
             weight = cells[weight_col].strip() if weight_col is not None else ""
             weights.append(_csv_float(weight, "weight", path, row) if weight else 1.0)
+    except (csv.Error, _NotUtf8) as exc:  # met while reading the next data row
+        raise ParseError(str(exc), path=path, row=len(labels) + 1) from None
 
 
-def _read_jsonl(path: str, scores: list, labels: list, weights: list) -> None:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for line in handle:
+def _read_jsonl(lines, path: str, scores: list, labels: list, weights: list) -> None:
+    try:
+        for line in lines:
             if not line.strip():
                 continue
             row = len(labels) + 1
@@ -155,28 +178,41 @@ def _read_jsonl(path: str, scores: list, labels: list, weights: list) -> None:
             labels.append(_label_text(obj["label"], path, row))
             weight = obj.get("weight")
             weights.append(1.0 if weight is None else _json_float(weight, "weight", path, row))
+    except _NotUtf8 as exc:
+        raise ParseError(str(exc), path=path, row=len(labels) + 1) from None
 
 
 def read_prediction_rows(path, format: str = "csv") -> PredictionColumns:
     """Parse a prediction file into columns, validating cells but not labels.
 
     One pass parses the cells, then the score and weight columns are checked
-    whole.  An error names the first bad data row.
+    whole.  An error names the first bad data row; text that is not UTF-8 is
+    a :class:`ParseError` too.
     """
     read = _read_csv if _check_format(format) == "csv" else _read_jsonl
+    path = str(path)
     scores: list[float] = []
     labels: list[str] = []
     weights: list[float] = []
     # the readers append cell by cell, so on a ParseError the lists hold every cell before it
     try:
-        read(str(path), scores, labels, weights)
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                read(handle, path, scores, labels, weights)
+        except UnicodeDecodeError:
+            # the decoder reads ahead of the parser: read again line by line
+            # to find the first bad row
+            for column in (scores, labels, weights):
+                column.clear()
+            with open(path, "rb") as handle:
+                read(_utf8_lines(handle), path, scores, labels, weights)
     except ParseError:
-        _check_values(scores, weights, str(path))  # a bad value in an earlier cell comes first
+        _check_values(scores, weights, path)  # a bad value in an earlier cell comes first
         raise
     except OSError as exc:
-        raise PredictionFileError(f"cannot open: {exc.strerror or exc}", path=str(path)) from None
+        raise PredictionFileError(f"cannot open: {exc.strerror or exc}", path=path) from None
     rows = PredictionColumns(np.array(scores, dtype=float), labels, np.array(weights, dtype=float))
-    _check_values(rows.scores, rows.weights, str(path))
+    _check_values(rows.scores, rows.weights, path)
     return rows
 
 

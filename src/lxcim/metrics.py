@@ -47,6 +47,9 @@ __all__ = [
     "report",
 ]
 
+_ZERO = np.zeros(1)  # the 0 that leads every cumulative array
+_ZERO.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -176,8 +179,8 @@ def _score_sweep(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, float, float
     pos_per_score = np.bincount(inverse, weights=w * y, minlength=len(unique_scores))
     neg_per_score = np.bincount(inverse, weights=w * (1 - y), minlength=len(unique_scores))
     # np.unique sorts ascending; the sweep admits high scores first
-    tp = np.cumsum(pos_per_score[::-1])
-    fp = np.cumsum(neg_per_score[::-1])
+    tp = pos_per_score[::-1].cumsum()
+    fp = neg_per_score[::-1].cumsum()
     pos_total = float(tp[-1])
     neg_total = float(fp[-1])
     if pos_total == 0.0 or neg_total == 0.0:
@@ -212,18 +215,19 @@ def auroc(dataset: Dataset) -> float:
 
 def _auroc(sweep) -> float:
     tp, fp, pos_total, neg_total = sweep
-    tp_prev = np.concatenate(([0.0], tp[:-1]))
-    fp_prev = np.concatenate(([0.0], fp[:-1]))
-    raw_area = float(np.sum((fp - fp_prev) * (tp + tp_prev))) / 2.0
+    tp_prev = np.concatenate((_ZERO, tp[:-1]))
+    fp_prev = np.concatenate((_ZERO, fp[:-1]))
+    raw_area = float(((fp - fp_prev) * (tp + tp_prev)).sum()) / 2.0
     return raw_area / (pos_total * neg_total)
 
 
 def _group_boundaries(view: RankedView) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized (cum weight, cum correct weight) at tie-group ends, 0-led."""
-    ends = view.group_ends
-    cw = np.concatenate(([0.0], view.cum_weight[ends - 1]))
-    cc = np.concatenate(([0.0], view.cum_correct_weight[ends - 1]))
-    return cw, cc
+    cw, cc = view.cum_weight, view.cum_correct_weight
+    if len(view.group_ends) < len(cw):  # some group holds a tie
+        last = view.group_ends - 1
+        cw, cc = cw[last], cc[last]
+    return np.concatenate((_ZERO, cw)), np.concatenate((_ZERO, cc))
 
 
 def cumulative_accuracy_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
@@ -256,7 +260,7 @@ def lxcim(dataset: Dataset, spec: DecisionSpec) -> float:
 def _lxcim(view: RankedView) -> float:
     cw, cc = _group_boundaries(view)
     total = view.cum_weight[-1]
-    doubled_area = float(np.sum((cw[1:] - cw[:-1]) * (cc[1:] + cc[:-1])))
+    doubled_area = float(((cw[1:] - cw[:-1]) * (cc[1:] + cc[:-1])).sum())
     # rounding can land one ulp above a perfect score
     return min(doubled_area / float(total * total), 1.0)
 
@@ -289,18 +293,21 @@ def audrc(dataset: Dataset, spec: DecisionSpec) -> float:
 
 
 def _audrc(view: RankedView) -> float:
-    cw, cc = _group_boundaries(view)
-    n_groups = len(view.group_ends)
-    sizes = np.diff(np.concatenate(([0], view.group_ends)))
-    gid = np.repeat(np.arange(n_groups), sizes)
-
-    slope = (cc[1:] - cc[:-1]) / (cw[1:] - cw[:-1])
-    g_at = cc[gid] + slope[gid] * (view.cum_weight - cw[gid])
-    # group-final boundaries take the exact cumulative value, no interpolation
-    g_at[view.group_ends - 1] = cc[1:]
-    acc_at = g_at / view.cum_weight
-    total = view.cum_weight[-1]
-    return min(float(np.sum(view.weight * acc_at)) / float(total), 1.0)
+    ends, cum_weight = view.group_ends, view.cum_weight
+    if len(ends) == len(cum_weight):
+        # every sample ends its own group, where G takes the cumulative value
+        g_at = view.cum_correct_weight
+    else:
+        cw, cc = _group_boundaries(view)
+        sizes = ends.copy()
+        sizes[1:] -= ends[:-1]
+        gid = np.arange(len(ends)).repeat(sizes)
+        slope = (cc[1:] - cc[:-1]) / (cw[1:] - cw[:-1])
+        g_at = cc[gid] + slope[gid] * (cum_weight - cw[gid])
+        # group-final boundaries take the exact cumulative value, no interpolation
+        g_at[ends - 1] = cc[1:]
+    acc_at = g_at / cum_weight
+    return min(float((view.weight * acc_at).sum()) / float(cum_weight[-1]), 1.0)
 
 
 def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:

@@ -32,13 +32,14 @@ __all__ = [
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
+    """A new 1-d float64 array holding ``values`` (always a copy)."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be numeric: {exc}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr.copy()
+    return arr
 
 
 class Dataset:
@@ -46,6 +47,12 @@ class Dataset:
 
     Scores must be finite, labels 0/1, weights finite and strictly positive.
     An empty dataset can be constructed but every metric rejects it.
+
+    The constructor copies and checks all three arrays.  Exchanges and
+    duplications build their results with :meth:`_from_valid` instead, which
+    skips both: those arrays are valid by construction (labels ``1 - labels``
+    from 0/1, weights shared read-only), and only the reflected scores, which
+    a user's reflection map can overflow, are checked for finiteness there.
     """
 
     __slots__ = ("scores", "labels", "weights")
@@ -60,10 +67,10 @@ class Dataset:
                 f"length mismatch: {len(score_arr)} scores vs {len(raw_labels)} labels"
             )
         ok = (raw_labels == 0) | (raw_labels == 1)
-        if not np.all(ok):
-            bad = raw_labels[~np.asarray(ok)][:1]
+        if not ok.all():
+            bad = raw_labels[~ok][:1]
             raise ValueError(f"labels must be 0 or 1, got {bad[0]!r}")
-        label_arr = np.asarray(raw_labels, dtype=np.int64).copy()
+        label_arr = np.array(raw_labels, dtype=np.int64)
 
         if weights is None:
             weight_arr = np.ones(len(score_arr), dtype=float)
@@ -73,18 +80,30 @@ class Dataset:
                 raise ValueError(
                     f"length mismatch: {len(score_arr)} scores vs {len(weight_arr)} weights"
                 )
-        if not np.all(np.isfinite(score_arr)):
+        if not np.isfinite(score_arr).all():
             raise ValueError("scores must all be finite")
-        if not np.all(np.isfinite(weight_arr)):
+        if not np.isfinite(weight_arr).all():
             raise ValueError("weights must all be finite")
-        if len(weight_arr) and not np.all(weight_arr > 0.0):
+        if not (weight_arr > 0.0).all():
             raise ValueError("weights must all be > 0")
+        self._init_arrays(score_arr, label_arr, weight_arr)
 
-        for arr in (score_arr, label_arr, weight_arr):
+    @classmethod
+    def _from_valid(cls, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> "Dataset":
+        """A dataset over arrays that are valid by construction, neither copied nor checked.
+
+        The caller guarantees equal lengths, finite float64 scores, int64 0/1
+        labels and finite positive float64 weights.  The arrays become
+        read-only, so each must be new or already read-only.
+        """
+        self = object.__new__(cls)
+        self._init_arrays(scores, labels, weights)
+        return self
+
+    def _init_arrays(self, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> None:
+        for name, arr in (("scores", scores), ("labels", labels), ("weights", weights)):
             arr.setflags(write=False)
-        object.__setattr__(self, "scores", score_arr)
-        object.__setattr__(self, "labels", label_arr)
-        object.__setattr__(self, "weights", weight_arr)
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -95,7 +114,7 @@ class Dataset:
 
     @property
     def total_weight(self) -> float:
-        return float(np.sum(self.weights))
+        return float(self.weights.sum())
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -349,13 +368,13 @@ def _canonical_ties(order, new_group, correct, predicted, weights) -> np.ndarray
     ``new_group`` marks where its confidence changes.  The result sorts by
     (group, correctness, weight, side, position).
     """
-    group_id = np.cumsum(new_group)
+    group_id = new_group.cumsum()
     group = np.zeros(len(order), dtype=np.min_scalar_type(group_id[-1]))
     group[order[1:]] = group_id
     if len(order) >= _WEIGHT_FIRST_MIN_N:
         # with all weights distinct, any sort by weight is the canonical one,
         # and boolean and narrow integer keys get numpy's stable radix sort
-        by_weight = np.argsort(weights)
+        by_weight = weights.argsort()
         sorted_weights = weights[by_weight]
         if (sorted_weights[1:] != sorted_weights[:-1]).all():
             return by_weight[np.lexsort((correct[by_weight], group[by_weight]))]
@@ -373,28 +392,35 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     Raises EmptyDatasetError for an empty dataset and ValueError if the
     confidence map produces non-finite values.
     """
-    if len(dataset) == 0:
+    scores = dataset.scores
+    n = len(scores)
+    if n == 0:
         raise EmptyDatasetError("cannot rank an empty dataset")
-    conf = spec.confidence_at(dataset.scores)
-    if not np.all(np.isfinite(conf)):
+    conf = spec.confidence_at(scores)
+    order = (-conf).argsort()
+    conf_r = conf[order]
+    # the sort puts +inf first and -inf, then NaN, last
+    if not (math.isfinite(conf_r[0]) and math.isfinite(conf_r[-1])):
         raise ValueError("confidence map produced non-finite values")
 
-    predicted = dataset.scores > spec.s_star
+    predicted = scores > spec.s_star
     correct_all = predicted == dataset.labels.astype(bool)
-    order = np.argsort(-conf)
-    conf_r = conf[order]
     new_group = conf_r[1:] != conf_r[:-1]
-    if not new_group.all():
+    if np.count_nonzero(new_group) == n - 1:  # no two confidences tie
+        group_ends = np.arange(1, n + 1)
+    else:
         # wrong before right and light before heavy: exchanges preserve both
         # keys, so tied samples land on the same boundaries after any exchange
         order = _canonical_ties(order, new_group, correct_all, predicted, dataset.weights)
         conf_r = conf[order]  # tied values can still differ in the sign of zero
+        last = np.empty(n, dtype=bool)  # the last sample of each tie group
+        last[:-1], last[-1] = new_group, True
+        group_ends = last.nonzero()[0] + 1
     weight_r = dataset.weights[order]
     correct = correct_all[order]
 
-    cum_weight = np.cumsum(weight_r)
-    cum_correct = np.cumsum(weight_r * correct)
-    group_ends = np.concatenate((new_group.nonzero()[0] + 1, [len(order)]))
+    cum_weight = weight_r.cumsum()
+    cum_correct = (weight_r * correct).cumsum()
 
     for arr in (order, conf_r, correct, weight_r, cum_weight, cum_correct, group_ends):
         arr.setflags(write=False)

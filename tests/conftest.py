@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,33 @@ from lxcim import Dataset, make_abs_spec
 @pytest.fixture(scope="session")
 def spec0():
     return make_abs_spec(0.0)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` counts the calls of ``owner.name``.
+
+    ``owner`` is a class (for a method such as ``Dataset.__init__``) or the
+    module that defines a function.  A counting wrapper replaces the attribute
+    on ``owner`` and in every ``lxcim`` module that imported the same object.
+    Returns the list that each call appends its positional arguments to.
+    """
+
+    def install(owner, name):
+        original = getattr(owner, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "lxcim" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
 
 
 @pytest.fixture()

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -70,6 +71,30 @@ class TestEval:
         path.write_text("score,label\nabc,1\n", encoding="utf-8")
         assert run(["eval", "--input", path]) == 3
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("good_rows", [0, 3000])
+    def test_text_not_utf8_is_data_error(self, tmp_path, capsys, fmt, good_rows):
+        # 3000 rows put the bad one past the decoder's first chunk, and a
+        # blank line sits before it; the row is the data row all the same
+        if fmt == "csv":
+            head, line, bad = b"score,label\n", b"%d,a\n", b"1,\xff\xfe\n"
+        else:
+            head, line = b"", b'{"score": %d, "label": "a"}\n'
+            bad = b'{"score": 1, "label": "\xff\xfe"}\n'
+        path = tmp_path / f"latin.{fmt}"
+        path.write_bytes(head + b"".join(line % i for i in range(good_rows)) + b"\n" + bad)
+        assert run(["eval", "--input", path, "--format", fmt]) == 3
+        assert f"{path}: row {good_rows + 1}: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
+    def test_csv_cell_beyond_field_limit_is_data_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(f'score,label\n1,a\n\n2,"{"x" * 200_000}"\n', encoding="utf-8")
+        assert run(["eval", "--input", path]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: row 2: field larger than field limit ({limit})" in err
+        assert csv.field_size_limit() == limit
 
     def test_curve_artifacts(self, d0_csv, tmp_path, capsys):
         curves = tmp_path / "curves"

@@ -1,14 +1,19 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 from lxcim import (
     ConfusionMatrix,
     Dataset,
+    DecisionSpec,
     EmptyDatasetError,
     ExchangeMask,
     ExchangeWitness,
     InfeasiblePerturbationError,
     InvalidMaskError,
+    LxcimError,
     accuracy,
     audrc,
     auroc,
@@ -209,6 +214,193 @@ class TestRankInvarianceChecker:
     def test_rejects_zero_trials(self, d0, spec0):
         with pytest.raises(ValueError):
             check_rank_lxc_invariance(auroc, d0, spec0, trials=0)
+
+
+def reference_exchange(dataset, mask, spec):
+    """Exchange by copying the arrays and building a fully validated Dataset."""
+    idx = ExchangeMask(mask).indices
+    if len(idx) == 0:
+        return dataset
+    scores = dataset.scores.copy()
+    labels = dataset.labels.copy()
+    movable = idx[scores[idx] != spec.s_star]
+    scores[movable] = spec.reflect_at(dataset.scores[movable])
+    labels[movable] = 1 - dataset.labels[movable]
+    return Dataset(scores, labels, dataset.weights)
+
+
+def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
+    """The check loop with a validated ExchangeMask and Dataset on every trial."""
+    baseline = float(metric(dataset))
+    rng = np.random.default_rng(seed)
+    max_deviation = 0.0
+    witness = None
+    for trial in range(trials):
+        mask = ExchangeMask(np.nonzero(rng.random(len(dataset)) < 0.5)[0])
+        exchanged = reference_exchange(dataset, mask, spec)
+        try:
+            value = float(metric(exchanged))
+        except LxcimError as exc:
+            max_deviation = math.inf
+            if witness is None:
+                witness = ExchangeWitness(
+                    trial=trial, mask=mask, value=None, error=type(exc).__name__
+                )
+            continue
+        deviation = abs(value - baseline)
+        max_deviation = max(max_deviation, deviation)
+        if deviation > tolerance and witness is None:
+            witness = ExchangeWitness(trial=trial, mask=mask, value=value, error=None)
+    return baseline, trials, tolerance, max_deviation, witness
+
+
+def report_bits(baseline, trials, tolerance, max_deviation, witness):
+    """Every report field, floats as their exact hex form."""
+    fields = (baseline.hex(), trials, tolerance.hex(), max_deviation.hex())
+    if witness is None:
+        return fields + (None,)
+    value = None if witness.value is None else witness.value.hex()
+    return fields + (
+        (witness.trial, witness.mask.as_tuple(), value, witness.error, witness.describe()),
+    )
+
+
+def oracle_data(kind: str, n: int, seed: int):
+    """A dataset of one of the shapes the oracle covers, and its spec."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    weights = rng.uniform(0.05, 2.0, n) if seed % 2 else None
+    if kind == "prob":  # probabilities in tenths, some exactly at s_star = 0.5
+        return Dataset(np.round(rng.random(n), 1), labels, weights), make_abs_spec(0.5)
+    scores = rng.normal(size=n)
+    if kind == "tied":
+        scores = np.round(scores, 2)
+    elif kind == "at-threshold":
+        scores = np.round(scores)
+    return Dataset(scores, labels, weights), make_abs_spec(0.0)
+
+
+ORACLE_METRICS = {
+    "lxcim": lambda spec: partial(lxcim, spec=spec),
+    "audrc": lambda spec: partial(audrc, spec=spec),
+    "accuracy": lambda spec: partial(accuracy, spec=spec),
+    "auroc": lambda spec: auroc,
+}
+
+
+class TestCheckOracle:
+    """The check gives the report of the loop that validates every trial, bit for bit."""
+
+    def assert_same(self, metric, dataset, spec, trials, seed):
+        try:
+            expected = report_bits(*reference_check(metric, dataset, spec, trials, seed))
+        except LxcimError as exc:  # the baseline itself is undefined
+            with pytest.raises(type(exc)):
+                check_rank_lxc_invariance(metric, dataset, spec, trials=trials, seed=seed)
+            return
+        rep = check_rank_lxc_invariance(metric, dataset, spec, trials=trials, seed=seed)
+        got = report_bits(rep.baseline, rep.trials, rep.tolerance, rep.max_deviation, rep.witness)
+        assert got == expected
+
+    @pytest.mark.parametrize("metric", list(ORACLE_METRICS))
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "at-threshold", "prob"])
+    def test_matches_reference(self, kind, metric):
+        for seed, n in enumerate((1, 2, 3, 8, 31, 64, 257, 2000)):
+            dataset, spec = oracle_data(kind, n, seed)
+            self.assert_same(ORACLE_METRICS[metric](spec), dataset, spec, trials=12, seed=seed)
+
+    def test_data_covers_threshold_rows_and_weights(self):
+        for kind in ("at-threshold", "prob"):
+            dataset, spec = oracle_data(kind, 2000, 7)
+            assert np.any(dataset.scores == spec.s_star)
+        assert np.all(oracle_data("tied", 50, 0)[0].weights == 1.0)
+        assert len(np.unique(oracle_data("tied", 50, 1)[0].weights)) == 50
+
+    def test_single_class_witness(self, spec0):
+        # exchanging the negative row leaves one class, where AUROC is undefined
+        d = Dataset([1.0, -1.5], [1, 0])
+        self.assert_same(auroc, d, spec0, trials=50, seed=0)
+        rep = check_rank_lxc_invariance(auroc, d, spec0, trials=50, seed=0)
+        assert rep.witness.error == "SingleClassError"
+
+
+class TestCheckTrialCost:
+    """A passing trial is one exchange plus one metric call: no mask, no validated Dataset."""
+
+    def test_passing_trials_build_no_mask_and_no_dataset(self, count_calls, spec0):
+        rng = np.random.default_rng(8)
+        data = [random_dataset(rng, n) for n in (1, 9, 64, 300)]
+        masks = count_calls(ExchangeMask, "__init__")
+        datasets = count_calls(Dataset, "__init__")
+        metric = partial(lxcim, spec=spec0)
+        for d in data:
+            assert check_rank_lxc_invariance(metric, d, spec0, trials=25, seed=2).passed
+        assert masks == [] and datasets == []
+
+    @pytest.mark.parametrize("data", ["deviation", "single-class"])
+    def test_witness_builds_one_mask(self, count_calls, d0, spec0, data):
+        d = d0 if data == "deviation" else Dataset([1.0, -1.5], [1, 0])
+        masks = count_calls(ExchangeMask, "__init__")
+        datasets = count_calls(Dataset, "__init__")
+        rep = check_rank_lxc_invariance(auroc, d, spec0, trials=64, seed=11)
+        assert not rep.passed
+        assert len(masks) == 1 and datasets == []
+
+    def test_exchange_and_duplicate_skip_revalidation(self, count_calls, d0, spec0):
+        datasets = count_calls(Dataset, "__init__")
+        exchange_subset(d0, [0, 2], spec0)
+        duplicate_dataset(d0, spec0)
+        assert datasets == []
+
+
+def overflowing_spec():
+    """abs/mirror at 0, except that the reflection of a score above 5, or of
+    s_star itself, overflows to inf."""
+    return DecisionSpec(
+        s_star=0.0,
+        confidence=np.abs,
+        reflect=lambda s: np.where((s > 5.0) | (s == 0.0), np.inf, -s),
+    )
+
+
+class TestExchangeResults:
+    """Exchanged datasets skip re-validation but keep their guarantees."""
+
+    def test_overflowing_reflection_rejected(self):
+        spec = overflowing_spec()
+        d = Dataset([1.0, 6.0, -2.0, 0.0], [1, 0, 1, 1])
+        with pytest.raises(ValueError, match="^scores must all be finite$"):
+            exchange_subset(d, [1], spec)
+        with pytest.raises(ValueError, match="^scores must all be finite$"):
+            duplicate_dataset(d, spec)
+        with pytest.raises(ValueError, match="^scores must all be finite$"):
+            check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=50, seed=0)
+        # rows at the threshold are not reflected, and the other rows are fine
+        assert exchange_subset(d, [0, 2, 3], spec) == Dataset([-1.0, 6.0, 2.0, 0.0], [0, 0, 0, 1])
+        assert duplicate_dataset(Dataset([0.0, 1.0], [1, 0]), spec) == Dataset(
+            [0.0, 1.0, 0.0, -1.0], [1, 0, 1, 1]
+        )
+
+    def assert_sealed(self, d):
+        for name, dtype in (("scores", np.float64), ("labels", np.int64), ("weights", np.float64)):
+            arr = getattr(d, name)
+            assert arr.dtype == dtype and arr.ndim == 1 and len(arr) == len(d), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+
+    def test_results_are_read_only_with_fixed_dtypes(self, spec0):
+        rng = np.random.default_rng(9)
+        for n in (1, 5, 200):
+            d = random_dataset(rng, n)
+            self.assert_sealed(exchange_subset(d, range(0, n, 2), spec0))
+            self.assert_sealed(exchange_subset(d, [], spec0))
+            self.assert_sealed(duplicate_dataset(d, spec0))
+            seen = []
+            check_rank_lxc_invariance(lambda x: seen.append(x) or 0.0, d, spec0, trials=5, seed=n)
+            for exchanged in seen:
+                self.assert_sealed(exchanged)
+        self.assert_sealed(d)  # the original keeps its own read-only arrays
 
 
 class TestPerturbConfusion:

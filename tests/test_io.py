@@ -250,6 +250,47 @@ class TestRowNumbers:
         assert type(err.value) is error and err.value.row == row
 
 
+class TestUnreadableText:
+    """Text that is not UTF-8, or a CSV cell beyond the field limit, is a ParseError."""
+
+    def write_bytes(self, path, data):
+        path.write_bytes(data)
+        return path
+
+    def test_header_has_no_row(self, tmp_path):
+        for data in (b"sc\xffore,label\n1,a\n", b'score,label,"' + b"x" * 200_000 + b'"\n1,a,b\n'):
+            with pytest.raises(ParseError) as err:
+                read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
+            assert err.value.row is None and "header" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data, error, row",
+        [
+            (b"score,label\n1,a\nabc,b\n" + b"2,a\n" * 100 + b"1,\xff\n", ParseError, 2),
+            (b"score,label\n1,a\ninf,b\n" + b"2,a\n" * 100 + b"1,\xff\n", NonFiniteValueError, 2),
+            (b"score,label\n" + b"2,a\n" * 100 + b"-1,\xff\n3,a\n", ParseError, 101),
+            (b"score,label\r1,a\r\r2,\xe9\r", ParseError, 2),
+            (b'score,label\n1,"a\n\xff"\n', ParseError, 1),
+        ],
+        ids=["parse-error-first", "value-error-first", "late-row", "cr-lines", "quoted-newline"],
+    )
+    def test_first_bad_row_decides(self, tmp_path, data, error, row):
+        # the decoder reads ahead of the parser; the earlier problem still wins
+        with pytest.raises(error) as err:
+            read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
+        assert type(err.value) is error and err.value.row == row
+
+    def test_jsonl_row(self, tmp_path):
+        data = b'{"score": 1, "label": "a"}\n\n{"score": 2, "label": "\xe9"}\n'
+        with pytest.raises(ParseError) as err:
+            read_prediction_rows(self.write_bytes(tmp_path / "p.jsonl", data), "jsonl")
+        assert err.value.row == 2 and "not UTF-8 text: byte 0xe9" in str(err.value)
+
+    def test_utf8_text_reads_as_before(self, tmp_path):
+        path = self.write_bytes(tmp_path / "p.csv", "score,label\r\n1,é\r-1,ü\n".encode("utf-8"))
+        assert read_prediction_rows(path).labels == ["é", "ü"]
+
+
 class TestBuildDataset:
     def test_negative_label_reported(self, tmp_path):
         path = write(tmp_path / "p.csv", "score,label\n1,yes\n-1,no\n")

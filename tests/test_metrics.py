@@ -1,8 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 
+import lxcim.metrics as metrics_module
+import lxcim.model as model_module
 from lxcim import (
     ConfusionMatrix,
     Curve,
@@ -25,7 +25,6 @@ from lxcim import (
     verify_doubling_identity,
 )
 from lxcim.cli import main
-from lxcim.metrics import _score_sweep
 
 from conftest import random_dataset
 
@@ -297,47 +296,32 @@ class TestRankOnce:
     """Each evaluation ranks its dataset once and reads every metric off that view."""
 
     @pytest.fixture()
-    def rank_calls(self, monkeypatch):
-        calls = []
-
-        def counting(dataset, spec):
-            calls.append(len(dataset))
-            return rank_by_confidence(dataset, spec)
-
-        # every lxcim module that imported the ranking gets the counting one
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lxcim" and getattr(module, "rank_by_confidence", None) is rank_by_confidence:
-                monkeypatch.setattr(module, "rank_by_confidence", counting)
-        return calls
+    def rank_calls(self, count_calls):
+        return count_calls(model_module, "rank_by_confidence")
 
     @pytest.fixture()
-    def sweep_calls(self, monkeypatch):
-        calls = []
+    def sweep_calls(self, count_calls):
+        return count_calls(metrics_module, "_score_sweep")
 
-        def counting(dataset):
-            calls.append(len(dataset))
-            return _score_sweep(dataset)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lxcim" and getattr(module, "_score_sweep", None) is _score_sweep:
-                monkeypatch.setattr(module, "_score_sweep", counting)
-        return calls
+    @staticmethod
+    def sizes(calls):
+        return [len(args[0]) for args in calls]
 
     def test_report(self, d0, spec0, rank_calls, sweep_calls):
         report(d0, spec0)
-        assert rank_calls == [4]
-        assert sweep_calls == [4]
+        assert self.sizes(rank_calls) == [4]
+        assert self.sizes(sweep_calls) == [4]
 
     def test_eval_with_curves(self, tmp_path, rank_calls, sweep_calls, capsys):
         path = tmp_path / "d0.csv"
         path.write_text("score,label\n-4,0\n-3,1\n1,0\n2,1\n", encoding="utf-8")
         assert main(["eval", "--input", str(path), "--curves-dir", str(tmp_path / "curves")]) == 0
-        assert rank_calls == [4]
-        assert sweep_calls == [4]
+        assert self.sizes(rank_calls) == [4]
+        assert self.sizes(sweep_calls) == [4]
         assert len(list((tmp_path / "curves").iterdir())) == 6
 
     def test_verify(self, d0, spec0, rank_calls):
         verify_doubling_identity(d0, spec0)
-        assert rank_calls == [4]
+        assert self.sizes(rank_calls) == [4]
         verify_crossing_point(d0, spec0)
-        assert rank_calls == [4, 4]
+        assert self.sizes(rank_calls) == [4, 4]

@@ -183,6 +183,19 @@ class TestRankByConfidence:
         with pytest.raises(ValueError, match="non-finite"):
             rank_by_confidence(d0, spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_one_non_finite_confidence_rejected(self, d0, bad, at):
+        # one bad value among finite ones, wherever the descending sort puts it
+        def confidence(s):
+            out = np.abs(s)
+            out[at] = bad
+            return out
+
+        spec = DecisionSpec(s_star=0.0, confidence=confidence, reflect=lambda s: -s)
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_by_confidence(d0, spec)
+
     def test_scalar_only_map_rejected(self, d0):
         spec = DecisionSpec(s_star=0.0, confidence=lambda s: math.fabs(s), reflect=lambda s: -s)
         with pytest.raises(TypeError):
