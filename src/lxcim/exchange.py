@@ -111,30 +111,36 @@ def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
         raise InvalidMaskError(
             f"mask index {int(idx[-1])} out of range for dataset of size {len(dataset)}"
         )
-    return _exchange(dataset, idx, spec)
+    take = np.zeros(len(dataset), dtype=bool)
+    take[idx] = True
+    return _exchange(dataset, take, _mirror(dataset, spec))
 
 
-def _finite(scores: np.ndarray) -> np.ndarray:
-    """Reflected ``scores`` as they are, refused if a user's reflection map overflowed."""
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must all be finite")
-    return scores
+def _mirror(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Scores and labels of the full exchange, and whether those scores are all finite.
+
+    A sample at the threshold is its own exchange.  A user's reflection map
+    can overflow; then only exchanges that take a non-finite score are
+    refused (see :func:`_exchange`).
+    """
+    scores, labels = dataset.scores, dataset.labels
+    fixed = scores == spec.s_star
+    mirror = np.where(fixed, scores, spec.reflect_at(scores))
+    return mirror, np.where(fixed, labels, 1 - labels), bool(np.isfinite(mirror).all())
 
 
-def _exchange(dataset: Dataset, idx: np.ndarray, spec: DecisionSpec) -> Dataset:
-    """Exchange the rows at ``idx``: sorted, unique, in-range int64 positions.
+def _exchange(
+    dataset: Dataset, take: np.ndarray, mirror: tuple[np.ndarray, np.ndarray, bool]
+) -> Dataset:
+    """Exchange the samples where the bool array ``take`` is set, from their ``_mirror``.
 
     The result shares the weights and is built without re-validation, since
-    flipped 0/1 labels stay 0/1; only the reflected scores are checked.
+    flipped 0/1 labels stay 0/1; only non-finite mirror scores are looked for.
     """
-    if len(idx) == 0:
-        return dataset
-    scores, labels = dataset.scores, dataset.labels
-    movable = idx[scores[idx] != spec.s_star]
-    new_scores, new_labels = scores.copy(), labels.copy()
-    new_scores[movable] = _finite(spec.reflect_at(scores[movable]))
-    new_labels[movable] = 1 - labels[movable]
-    return Dataset._from_valid(new_scores, new_labels, dataset.weights)
+    scores = np.where(take, mirror[0], dataset.scores)
+    if not mirror[2] and not np.isfinite(scores).all():
+        raise ValueError("scores must all be finite")
+    return Dataset._from_valid(scores, np.where(take, mirror[1], dataset.labels), dataset.weights)
 
 
 def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
@@ -145,13 +151,13 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
-    scores, labels, weights = dataset.scores, dataset.labels, dataset.weights
-    # exchange every sample; one at the threshold is its own exchange
-    fixed = scores == spec.s_star
+    scores, labels, finite = _mirror(dataset, spec)
+    if not finite:
+        raise ValueError("scores must all be finite")
     return Dataset._from_valid(
-        np.concatenate((scores, _finite(np.where(fixed, scores, spec.reflect_at(scores))))),
-        np.concatenate((labels, np.where(fixed, labels, 1 - labels))),
-        np.concatenate((weights, weights)),
+        np.concatenate((dataset.scores, scores)),
+        np.concatenate((dataset.labels, labels)),
+        np.concatenate((dataset.weights, dataset.weights)),
     )
 
 
@@ -198,35 +204,39 @@ def check_rank_lxc_invariance(
     is recorded as a witness.  Trials run sequentially from one seeded
     generator, so a witness is reproducible from (seed, trial).
 
-    A trial costs one O(N) exchange plus one metric call.  The drawn
-    positions are already sorted, unique and in range, so they are not
-    re-validated, and the exchanged dataset is built without re-checking its
-    arrays (see ``Dataset._from_valid``); an ``ExchangeMask`` is built only
-    for the witness.
+    A trial costs one O(N) exchange plus one metric call.  The full
+    exchange is reflected once per check; a trial draws its fair bits and
+    takes each sample from the original or from that mirror, without
+    re-checking the arrays (see ``Dataset._from_valid``).  An
+    ``ExchangeMask`` is built only for the witness.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     baseline = float(metric(dataset))
     rng = np.random.default_rng(seed)
     n = len(dataset)
+    mirror = _mirror(dataset, spec)
     max_deviation = 0.0
     witness: ExchangeWitness | None = None
     for trial in range(trials):
-        idx = (rng.random(n) < 0.5).nonzero()[0]
-        exchanged = _exchange(dataset, idx, spec)
+        take = rng.random(n) < 0.5
+        exchanged = _exchange(dataset, take, mirror)
         try:
             value = float(metric(exchanged))
         except LxcimError as exc:
             max_deviation = math.inf
             if witness is None:
                 witness = ExchangeWitness(
-                    trial=trial, mask=ExchangeMask(idx), value=None, error=type(exc).__name__
+                    trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=None,
+                    error=type(exc).__name__,
                 )
             continue
         deviation = abs(value - baseline)
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
-            witness = ExchangeWitness(trial=trial, mask=ExchangeMask(idx), value=value, error=None)
+            witness = ExchangeWitness(
+                trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=value, error=None
+            )
     return InvarianceReport(
         baseline=baseline,
         trials=trials,

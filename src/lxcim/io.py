@@ -114,18 +114,24 @@ class _NotUtf8(Exception):
     """A line of the file is not UTF-8 text (raised by :func:`_utf8_lines`)."""
 
 
-def _utf8_lines(handle):
+def _utf8_lines(handle, size: int = 1 << 16):
     """The lines of a binary file, decoded one at a time, so that text that is
-    not UTF-8 fails at its own line.  Lines end at CR, LF or CRLF, as in text
-    mode with ``newline=""``.
+    not UTF-8 fails at its own line, not at a block read ahead of the parser.
+    Lines end at CR, LF or CRLF, as in text mode with ``newline=""``.
     """
-    for chunk in handle:
-        for line in chunk.splitlines(keepends=True):
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                bad = line[exc.start]
-                raise _NotUtf8(f"not UTF-8 text: byte {bad:#04x} ({exc.reason})") from None
+    pieces: list[bytes] = []
+    try:
+        while block := handle.read(size):
+            pieces.append(block)
+            if b"\n" not in block and b"\r" not in block:
+                continue  # inside a long line: join its pieces once, when it ends
+            lines = b"".join(pieces).splitlines(keepends=True)
+            pieces = [lines.pop()]  # unfinished, or a CR whose LF is in the next block
+            yield from map(bytes.decode, lines)
+        yield from map(bytes.decode, b"".join(pieces).splitlines(keepends=True))
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise _NotUtf8(f"not UTF-8 text: byte {bad:#04x} ({exc.reason})") from None
 
 
 def _read_csv(lines, path: str, scores: list, labels: list, weights: list) -> None:
@@ -196,16 +202,8 @@ def read_prediction_rows(path, format: str = "csv") -> PredictionColumns:
     weights: list[float] = []
     # the readers append cell by cell, so on a ParseError the lists hold every cell before it
     try:
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                read(handle, path, scores, labels, weights)
-        except UnicodeDecodeError:
-            # the decoder reads ahead of the parser: read again line by line
-            # to find the first bad row
-            for column in (scores, labels, weights):
-                column.clear()
-            with open(path, "rb") as handle:
-                read(_utf8_lines(handle), path, scores, labels, weights)
+        with open(path, "rb") as handle:
+            read(_utf8_lines(handle), path, scores, labels, weights)
     except ParseError:
         _check_values(scores, weights, path)  # a bad value in an earlier cell comes first
         raise

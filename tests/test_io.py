@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from lxcim import (
     write_curve_csv,
     write_prediction_file,
 )
-from lxcim.io import PredictionColumns, build_dataset, read_prediction_rows
+from lxcim.io import PredictionColumns, _NotUtf8, _utf8_lines, build_dataset, read_prediction_rows
 
 from conftest import random_dataset
 
@@ -289,6 +290,22 @@ class TestUnreadableText:
     def test_utf8_text_reads_as_before(self, tmp_path):
         path = self.write_bytes(tmp_path / "p.csv", "score,label\r\n1,é\r-1,ü\n".encode("utf-8"))
         assert read_prediction_rows(path).labels == ["é", "ü"]
+
+    def test_lines_match_text_mode_at_every_block_size(self):
+        # CRLF, CR and LF ends, a multi-byte character, a long line and no final line end,
+        # split at every possible block boundary
+        data = "a,é\r\nb\rc\n\r\n\n".encode("utf-8") + b"x" * 40 + b"\r\r\ny,\xe2\x82\xac"
+        expected = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        for size in range(1, len(data) + 2):
+            assert list(_utf8_lines(io.BytesIO(data), size)) == expected, size
+
+    def test_bad_line_fails_after_the_lines_before_it(self):
+        data = b"a\r\nb\r" + b"x" * 20 + b"\n\xe9\nc\n"
+        for size in range(1, len(data) + 2):
+            lines = []
+            with pytest.raises(_NotUtf8, match="byte 0xe9"):
+                lines.extend(_utf8_lines(io.BytesIO(data), size))
+            assert lines == ["a\r\n", "b\r", "x" * 20 + "\n"], size
 
 
 class TestBuildDataset:
