@@ -22,7 +22,6 @@ from .errors import (
     UnknownLabelError,
 )
 from .exchange import (
-    CategoricalInvarianceReport,
     ExchangeMask,
     ExchangeWitness,
     InvarianceReport,
@@ -111,7 +110,6 @@ __all__ = [
     "ExchangeWitness",
     "InvarianceReport",
     "PerturbationWitness",
-    "CategoricalInvarianceReport",
     "exchange_subset",
     "duplicate_dataset",
     "check_rank_lxc_invariance",

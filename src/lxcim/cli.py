@@ -167,14 +167,7 @@ def _cmd_eval(parser, args) -> int:
     view = rank_by_confidence(dataset, spec)
     sweep = _two_class_sweep(dataset)  # shared by the AUROC and the ROC curve
     rep = _report(view, sweep)
-    payload = {
-        "lxcim": rep.lxcim,
-        "accuracy": rep.accuracy,
-        "auroc": rep.auroc,
-        "audrc": rep.audrc,
-        "n": len(dataset),
-        "total_weight": dataset.total_weight,
-    }
+    payload = {**rep.as_dict(), "n": len(dataset), "total_weight": dataset.total_weight}
     for key, value in payload.items():
         if value is not None and not math.isfinite(value):
             print(f"lxcim: {key} is {value!r}: the weights overflow float arithmetic", file=sys.stderr)

@@ -31,7 +31,6 @@ __all__ = [
     "ExchangeWitness",
     "InvarianceReport",
     "PerturbationWitness",
-    "CategoricalInvarianceReport",
     "exchange_subset",
     "duplicate_dataset",
     "check_rank_lxc_invariance",
@@ -177,11 +176,13 @@ class ExchangeWitness:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """Outcome of an invariance check; the witness is the first break found, if any."""
+
     baseline: float
     trials: int
     tolerance: float
     max_deviation: float
-    witness: ExchangeWitness | None
+    witness: ExchangeWitness | PerturbationWitness | None
 
     @property
     def passed(self) -> bool:
@@ -277,40 +278,19 @@ class PerturbationWitness:
         return f"delta1={self.delta1!r}, delta2={self.delta2!r}: value {self.value!r}"
 
 
-@dataclass(frozen=True)
-class CategoricalInvarianceReport:
-    baseline: float
-    trials: int
-    tolerance: float
-    max_deviation: float
-    witness: PerturbationWitness | None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-
-def _feasible(cm: ConfusionMatrix, delta1: float, delta2: float) -> bool:
-    return (
-        cm.tp + delta1 >= 0.0
-        and cm.tn - delta1 >= 0.0
-        and cm.fn + delta2 >= 0.0
-        and cm.fp - delta2 >= 0.0
-    )
-
-
 def check_categorical_lxc_invariance(
     metric: Callable[[ConfusionMatrix], float],
     cm: ConfusionMatrix,
     trials: int = 100,
     seed: int = 0,
     tolerance: float = 1e-9,
-) -> CategoricalInvarianceReport:
+) -> InvarianceReport:
     """Probe a confusion-matrix metric under correctness-preserving moves.
 
     Sweeps a small exhaustive integer grid |delta| <= min entry first (where
     witnesses live for the classic scores), then ``trials`` random real
-    perturbations drawn uniformly over the feasible box.
+    perturbations drawn uniformly over the feasible box.  Moves that
+    ``perturb_confusion`` refuses as infeasible are skipped.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -320,7 +300,11 @@ def check_categorical_lxc_invariance(
 
     def probe(delta1: float, delta2: float) -> None:
         nonlocal max_deviation, witness
-        value = float(metric(perturb_confusion(cm, delta1, delta2)))
+        try:
+            moved = perturb_confusion(cm, delta1, delta2)
+        except InfeasiblePerturbationError:
+            return
+        value = float(metric(moved))
         deviation = abs(value - baseline)
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
@@ -328,17 +312,16 @@ def check_categorical_lxc_invariance(
 
     reach = int(math.floor(min(cm.as_tuple())))
     for d1, d2 in itertools.product(range(-reach, reach + 1), repeat=2):
-        if (d1, d2) != (0, 0) and _feasible(cm, d1, d2):
+        if (d1, d2) != (0, 0):
             probe(float(d1), float(d2))
 
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         delta1 = rng.uniform(-cm.tp, cm.tn)
         delta2 = rng.uniform(-cm.fn, cm.fp)
-        if _feasible(cm, delta1, delta2):
-            probe(delta1, delta2)
+        probe(delta1, delta2)
 
-    return CategoricalInvarianceReport(
+    return InvarianceReport(
         baseline=baseline,
         trials=trials,
         tolerance=tolerance,

@@ -112,10 +112,6 @@ class Curve:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(a), float(b)) for a, b in zip(self.x, self.y))
-
     def __len__(self) -> int:
         return len(self.x)
 
@@ -302,7 +298,9 @@ def _audrc(view: RankedView) -> float:
         sizes = ends.copy()
         sizes[1:] -= ends[:-1]
         gid = np.arange(len(ends)).repeat(sizes)
-        slope = (cc[1:] - cc[:-1]) / (cw[1:] - cw[:-1])
+        step = cw[1:] - cw[:-1]
+        # a group whose weight rounding lost has no step; its samples take its left boundary
+        slope = np.divide(cc[1:] - cc[:-1], step, out=np.zeros(len(step)), where=step != 0)
         g_at = cc[gid] + slope[gid] * (cum_weight - cw[gid])
         # group-final boundaries take the exact cumulative value, no interpolation
         g_at[ends - 1] = cc[1:]

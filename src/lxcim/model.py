@@ -109,10 +109,6 @@ class Dataset:
         raise AttributeError("Dataset is immutable")
 
     @property
-    def n(self) -> int:
-        return len(self.scores)
-
-    @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
@@ -135,7 +131,7 @@ class Dataset:
 
 
 def _apply_map(fn: Callable, values: np.ndarray) -> np.ndarray:
-    """Apply a vectorized map over a 1-d float array."""
+    """Apply a vectorized map over a float array."""
     out = np.asarray(fn(values), dtype=float)
     if out.shape != values.shape:
         raise ValueError(
@@ -154,6 +150,8 @@ class DecisionSpec:
     ``reflect`` must map each score to the opposite-side score with the same
     confidence (an involution that fixes ``s_star``).  Both maps must be
     vectorized: called on a float array, they return an array of its shape.
+    ``confidence_at`` and ``reflect_at`` apply them to ``np.asarray(scores)``
+    and return float64 of its shape, 0-d for a scalar.
     """
 
     s_star: float
@@ -165,29 +163,24 @@ class DecisionSpec:
             raise ValueError(f"s_star must be finite, got {self.s_star!r}")
         object.__setattr__(self, "s_star", float(self.s_star))
 
-    def confidence_at(self, scores):
-        if np.ndim(scores) == 0:
-            return float(self.confidence(float(scores)))
+    def confidence_at(self, scores) -> np.ndarray:
         return _apply_map(self.confidence, np.asarray(scores, dtype=float))
 
-    def reflect_at(self, scores):
-        if np.ndim(scores) == 0:
-            return float(self.reflect(float(scores)))
+    def reflect_at(self, scores) -> np.ndarray:
         return _apply_map(self.reflect, np.asarray(scores, dtype=float))
 
 
 def predict(score, spec: DecisionSpec):
     """Binary prediction: 1 iff the score is strictly above the threshold.
 
-    A score exactly at the threshold predicts the negative class.  Accepts a
-    scalar (returns int) or an array (returns an int array).
+    A score exactly at the threshold predicts the negative class.  Returns
+    int64 of the input's shape (0-d for a scalar); raises ValueError if any
+    score is NaN or infinite.
     """
-    if np.ndim(score) == 0:
-        s = float(score)
-        if not math.isfinite(s):
-            raise ValueError(f"score must be finite, got {score!r}")
-        return int(s > spec.s_star)
-    return (np.asarray(score, dtype=float) > spec.s_star).astype(np.int64)
+    scores = np.asarray(score, dtype=float)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must all be finite")
+    return (scores > spec.s_star).astype(np.int64)
 
 
 def make_abs_spec(s_star: float = 0.0) -> DecisionSpec:
@@ -345,10 +338,6 @@ class RankedView:
     cum_weight: np.ndarray
     cum_correct_weight: np.ndarray
     group_ends: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
     @property
     def total_weight(self) -> float:

@@ -12,10 +12,16 @@ __all__ = ["Series", "line_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+_WIDTH = 720
+_HEIGHT = 520
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 48
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+# both axes span [0, 1], with a grid line and a label at each tick
+_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -25,10 +31,6 @@ class Series:
     y: Sequence[float]
     color: str | None = None
     dashed: bool = False
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
 
 def _fmt(value: float) -> str:
@@ -42,68 +44,57 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 520,
-    x_range: tuple[float, float] = (0.0, 1.0),
-    y_range: tuple[float, float] = (0.0, 1.0),
 ) -> str:
-    """Render polyline series with axes, ticks, and a small legend."""
+    """Render polyline series on the unit square with axes, ticks, and a small legend."""
     if not series:
         raise ValueError("need at least one series")
-    x_lo, x_hi = map(float, x_range)
-    y_lo, y_hi = map(float, y_range)
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValueError("ranges must be non-degenerate")
-
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + x * _PLOT_W
 
     def py(y: float) -> float:
-        return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + _PLOT_H - y * _PLOT_H
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">'
     )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
         )
 
-    for tx in _ticks(x_lo, x_hi):
+    for tx in _TICKS:
         gx = px(tx)
         parts.append(
             f'<line x1="{gx:.1f}" y1="{_MARGIN_TOP}" x2="{gx:.1f}" '
-            f'y2="{_MARGIN_TOP + plot_h}" stroke="#e0e0e0" stroke-width="1"/>'
+            f'y2="{_MARGIN_TOP + _PLOT_H}" stroke="#e0e0e0" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{gx:.1f}" y="{_MARGIN_TOP + plot_h + 18}" text-anchor="middle">{_fmt(tx)}</text>'
+            f'<text x="{gx:.1f}" y="{_MARGIN_TOP + _PLOT_H + 18}" text-anchor="middle">{_fmt(tx)}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _TICKS:
         gy = py(ty)
         parts.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{gy:.1f}" x2="{_MARGIN_LEFT + plot_w}" '
+            f'<line x1="{_MARGIN_LEFT}" y1="{gy:.1f}" x2="{_MARGIN_LEFT + _PLOT_W}" '
             f'y2="{gy:.1f}" stroke="#e0e0e0" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_LEFT - 8}" y="{gy + 4:.1f}" text-anchor="end">{_fmt(ty)}</text>'
         )
     parts.append(
-        f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     if x_label:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle">{escape(x_label)}</text>'
         )
     if y_label:
-        cx, cy = 18, _MARGIN_TOP + plot_h / 2
+        cx, cy = 18, _MARGIN_TOP + _PLOT_H / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
             f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label)}</text>'
@@ -131,7 +122,7 @@ def line_chart(
         color = s.color or _PALETTE[idx % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
         ly = legend_y + idx * 16
-        lx = _MARGIN_LEFT + plot_w - 150
+        lx = _MARGIN_LEFT + _PLOT_W - 150
         parts.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>'
         )

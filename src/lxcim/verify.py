@@ -28,8 +28,6 @@ from .metrics import (
     _lxcim,
     _roc_curve,
     _score_sweep,
-    accuracy,
-    roc_curve,
 )
 from .model import Dataset, DecisionSpec, make_abs_spec, rank_by_confidence
 from .exchange import duplicate_dataset
@@ -117,6 +115,15 @@ def _area_left_of(curve: Curve, x_stop: float) -> float:
     return area
 
 
+def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
+    """The dataset's ranking, and the score sweep of its duplicate taken from the duplicate itself.
+
+    The duplicate is swept first and dropped before the ranking allocates.
+    """
+    sweep = _score_sweep(duplicate_dataset(dataset, spec))
+    return rank_by_confidence(dataset, spec), sweep
+
+
 @dataclass(frozen=True)
 class DoublingReport:
     """Outcome of the duplication identities on one dataset."""
@@ -146,9 +153,7 @@ def verify_doubling_identity(
     when no sample sits at the threshold (such samples keep their class under
     duplication and unbalance the two sides).
     """
-    doubled = duplicate_dataset(dataset, spec)
-    view = rank_by_confidence(dataset, spec)
-    sweep = _score_sweep(doubled)  # shared by the AUROC and the ROC curve
+    view, sweep = _rank_and_sweep_doubled(dataset, spec)  # one sweep for the AUROC and the ROC
     lx = _lxcim(view)
     au = _auroc(sweep)
     acc = _accuracy(view)
@@ -187,9 +192,9 @@ def verify_crossing_point(
     non-decreasing and never simultaneously constant), so the crossing is
     unique; it must land at (1 - ACC, ACC).
     """
-    doubled = duplicate_dataset(dataset, spec)
-    curve = roc_curve(doubled)
-    acc = accuracy(dataset, spec)
+    view, sweep = _rank_and_sweep_doubled(dataset, spec)
+    curve = _roc_curve(sweep)
+    acc = _accuracy(view)
     xs, ys = curve.x, curve.y
     gap = xs + ys - 1.0
     k = int(np.argmax(gap >= 0.0))  # first point on or past the crossing
@@ -309,7 +314,6 @@ def _study_seed(base_seed: int, size_index: int, draw: int) -> int:
 def convergence_study(
     sizes,
     seeds: int,
-    kind: GeneratorKind = GeneratorKind.RANDOM,
     base_seed: int = 0,
 ) -> StudyResult:
     """Measure how chance-level data approaches its limiting curves.
@@ -330,8 +334,6 @@ def convergence_study(
         raise ValueError("sizes must be positive")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    if kind is not GeneratorKind.RANDOM:
-        raise ValueError("the convergence study is defined for RANDOM data only")
 
     spec = make_abs_spec(0.0)
     rows = []

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -142,6 +143,13 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("lxcim: ")
         assert "nan" in captured.err or "inf" in captured.err
+
+    def test_tie_group_lost_to_rounding_is_finite(self, tmp_path, capsys):
+        path = tmp_path / "lost.csv"
+        path.write_text("score,label,weight\n5,1,1e20\n1,1,1\n-1,1,1\n", encoding="utf-8")
+        assert run(["eval", "--input", path, "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lxcim"], payload["accuracy"], payload["audrc"]) == (1.0, 1.0, 1.0)
 
     def test_single_class_skips_roc_artifacts(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -310,3 +318,42 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["lxcim"] == 0.625
+
+
+class TestChartBytes:
+    """The SVG files that ``eval`` and ``study`` write, pinned by sha256."""
+
+    EVAL_SVG = {
+        "roc.svg": "9a3bac540d5929dd6a05e9b370dc0a1f0f44118587c2043a8fe73288aee54abc",
+        "cumulative_accuracy.svg": "94ed4eb8bad6a418627d74ab4629b8460742f7adee397ab57cd10ba54875d1fd",
+        "accuracy_rate.svg": "f47adffdb79237a8c5c328b0a45a8d7bfd9446a51be1126c0732c141b446d151",
+    }
+    STUDY_SVG = {
+        "cumulative_accuracy_n6.svg": "25d83aaa6fc2ff45388a72b6a89a7f1580ed0f857e8678d1c1044bb05549cffe",
+        "accuracy_rate_n6.svg": "5cfeaebca7231040ca10e8966b08011b56b2503baeffb98bfc59b3dae508c137",
+        "cumulative_accuracy_n25.svg": "1ea5a6c0b8d41f4ffe93f92d507634092c74a57d5aa7aefb8219987538c52702",
+        "accuracy_rate_n25.svg": "bf31b9c846c72c89c484431e54c160b60923cc76b75a754b804ec845066e56e9",
+    }
+
+    @staticmethod
+    def digests(directory):
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()
+            if p.suffix == ".svg"
+        }
+
+    def test_eval_charts(self, tmp_path, capsys):
+        path = tmp_path / "tied.csv"
+        path.write_text(
+            "score,label,weight\n-4,0,1\n-3,1,0.5\n1,0,2\n2,1,1\n3,1,1.25\n-3,0,1\n0.5,1,3\n",
+            encoding="utf-8",
+        )
+        curves = tmp_path / "curves"
+        assert run(["eval", "--input", path, "--curves-dir", curves]) == 0
+        assert self.digests(curves) == self.EVAL_SVG
+
+    def test_study_charts(self, tmp_path, capsys):
+        curves = tmp_path / "study"
+        assert run(["study", "--sizes", "6,25", "--seeds", 2, "--seed", 3, "--curves-dir", curves]) == 0
+        assert self.digests(curves) == self.STUDY_SVG

@@ -13,7 +13,9 @@ from lxcim import (
     ExchangeWitness,
     InfeasiblePerturbationError,
     InvalidMaskError,
+    InvarianceReport,
     LxcimError,
+    PerturbationWitness,
     accuracy,
     audrc,
     auroc,
@@ -465,3 +467,98 @@ class TestCategoricalChecker:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             check_categorical_lxc_invariance(f1_score, ConfusionMatrix(1, 1, 1, 1), trials=0)
+
+
+def reference_categorical_check(metric, cm, trials, seed, tolerance=1e-9):
+    """The categorical checker's loop with its own feasibility test before each move.
+
+    Returns (baseline, max deviation, witness); the checker skips the moves
+    that ``perturb_confusion`` refuses instead.
+    """
+
+    def feasible(delta1, delta2):
+        return (
+            cm.tp + delta1 >= 0.0
+            and cm.tn - delta1 >= 0.0
+            and cm.fn + delta2 >= 0.0
+            and cm.fp - delta2 >= 0.0
+        )
+
+    baseline = float(metric(cm))
+    max_deviation, witness = 0.0, None
+
+    def probe(delta1, delta2):
+        nonlocal max_deviation, witness
+        value = float(metric(perturb_confusion(cm, delta1, delta2)))
+        deviation = abs(value - baseline)
+        max_deviation = max(max_deviation, deviation)
+        if deviation > tolerance and witness is None:
+            witness = PerturbationWitness(delta1=delta1, delta2=delta2, value=value)
+
+    reach = int(math.floor(min(cm.as_tuple())))
+    for d1 in range(-reach, reach + 1):
+        for d2 in range(-reach, reach + 1):
+            if (d1, d2) != (0, 0) and feasible(d1, d2):
+                probe(float(d1), float(d2))
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        delta1 = rng.uniform(-cm.tp, cm.tn)
+        delta2 = rng.uniform(-cm.fn, cm.fp)
+        if feasible(delta1, delta2):
+            probe(delta1, delta2)
+    return baseline, max_deviation, witness
+
+
+def _bits(witness):
+    if witness is None:
+        return None
+    return tuple(float(v).hex() for v in (witness.delta1, witness.delta2, witness.value))
+
+
+class TestCategoricalOracle:
+    @staticmethod
+    def matrices():
+        """24 seeded matrices: integer, fractional and zero entries, never all zero."""
+        rng = np.random.default_rng(2024)
+        out = [ConfusionMatrix(3, 1, 2, 4), ConfusionMatrix(0, 2, 0, 3.5), ConfusionMatrix(2.5, 0, 0, 0)]
+        while len(out) < 24:
+            cells = np.where(rng.random(4) < 0.5, rng.integers(0, 7, 4), rng.uniform(0.0, 6.0, 4))
+            cells[rng.random(4) < 0.2] = 0.0
+            if cells.sum() > 0.0:
+                out.append(ConfusionMatrix(*cells))
+        return out
+
+    @pytest.mark.parametrize(
+        "metric", [f1_score, matthews_corrcoef, _categorical_accuracy], ids=["f1", "mcc", "accuracy"]
+    )
+    def test_matches_feasibility_gated_loop(self, metric):
+        witnesses = 0
+        for index, cm in enumerate(self.matrices()):
+            rep = check_categorical_lxc_invariance(metric, cm, trials=40, seed=index)
+            baseline, max_deviation, witness = reference_categorical_check(metric, cm, 40, index)
+            assert type(rep) is InvarianceReport
+            assert (rep.trials, rep.tolerance) == (40, 1e-9)
+            assert float(rep.baseline).hex() == float(baseline).hex()
+            assert float(rep.max_deviation).hex() == float(max_deviation).hex()
+            assert _bits(rep.witness) == _bits(witness)
+            assert rep.passed == (witness is None)
+            witnesses += witness is not None
+        if metric is _categorical_accuracy:
+            assert witnesses == 0
+        else:
+            assert witnesses >= 10
+
+    def test_infeasible_draws_are_skipped(self, monkeypatch):
+        # every random move lands one past the feasible box, so only the grid counts
+        class PastTheBox:
+            def uniform(self, low, high):
+                return high + 1.0
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: PastTheBox())
+        cm = ConfusionMatrix(3, 1, 2, 4)
+        rep = check_categorical_lxc_invariance(f1_score, cm, trials=5)
+        baseline, max_deviation, witness = reference_categorical_check(f1_score, cm, 5, 0)
+        assert float(rep.max_deviation).hex() == float(max_deviation).hex()
+        assert rep.witness is not None and _bits(rep.witness) == _bits(witness)
+        with pytest.raises(InfeasiblePerturbationError):  # what each draw would have raised
+            perturb_confusion(cm, cm.tn + 1.0, cm.fp + 1.0)

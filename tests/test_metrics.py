@@ -79,13 +79,9 @@ class TestAccuracy:
 
 class TestRocAuroc:
     def test_worked_example_breakpoints(self, d0):
-        assert roc_curve(d0).points == (
-            (0.0, 0.0),
-            (0.0, 0.5),
-            (0.5, 0.5),
-            (0.5, 1.0),
-            (1.0, 1.0),
-        )
+        curve = roc_curve(d0)
+        assert curve.x.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
+        assert curve.y.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
 
     def test_worked_example_area(self, d0):
         assert auroc(d0) == 0.75
@@ -96,7 +92,7 @@ class TestRocAuroc:
 
     def test_score_tie_gives_diagonal_segment(self):
         curve = roc_curve(Dataset([1.0, 1.0], [1, 0]))
-        assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+        assert curve.x.tolist() == [0.0, 1.0] and curve.y.tolist() == [0.0, 1.0]
         assert auroc(Dataset([1.0, 1.0], [1, 0])) == 0.5
 
     def test_single_class_rejected(self):
@@ -119,16 +115,13 @@ class TestRocAuroc:
 
 class TestCumulativeAccuracyCurve:
     def test_worked_example_breakpoints(self, d0, spec0):
-        assert cumulative_accuracy_curve(d0, spec0).points == (
-            (0.0, 0.0),
-            (0.25, 0.25),
-            (0.5, 0.25),
-            (0.75, 0.5),
-            (1.0, 0.5),
-        )
+        curve = cumulative_accuracy_curve(d0, spec0)
+        assert curve.x.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert curve.y.tolist() == [0.0, 0.25, 0.25, 0.5, 0.5]
 
     def test_tie_group_is_one_linear_segment(self, tie_pair, spec0):
-        assert cumulative_accuracy_curve(tie_pair, spec0).points == ((0.0, 0.0), (1.0, 0.5))
+        curve = cumulative_accuracy_curve(tie_pair, spec0)
+        assert curve.x.tolist() == [0.0, 1.0] and curve.y.tolist() == [0.0, 0.5]
 
     def test_endpoint_equals_accuracy_exactly(self, spec0):
         rng = np.random.default_rng(6)
@@ -191,12 +184,8 @@ class TestAccuracyRateCurve:
     def test_worked_example(self, d0, spec0):
         curve = accuracy_rate_curve(d0, spec0)
         assert curve.kind is CurveKind.ACC_RATE
-        assert curve.points == (
-            (0.25, 1.0),
-            (0.5, 0.5),
-            (0.75, 2.0 / 3.0),
-            (1.0, 0.5),
-        )
+        assert curve.x.tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert curve.y.tolist() == [1.0, 0.5, 2.0 / 3.0, 0.5]
 
     def test_starts_after_zero(self, spec0):
         rng = np.random.default_rng(11)
@@ -211,7 +200,8 @@ class TestAccuracyRateCurve:
             assert curve.y[0] in (0.0, 1.0)
 
     def test_tied_top_group_averages(self, tie_pair, spec0):
-        assert accuracy_rate_curve(tie_pair, spec0).points == ((1.0, 0.5),)
+        curve = accuracy_rate_curve(tie_pair, spec0)
+        assert curve.x.tolist() == [1.0] and curve.y.tolist() == [0.5]
 
     def test_final_value_is_accuracy(self, spec0, d0):
         assert accuracy_rate_curve(d0, spec0).y[-1] == accuracy(d0, spec0)
@@ -257,6 +247,15 @@ class TestAudrc:
             median = abs(flipped(n // 2) - base)
             assert head > median
 
+    def test_tie_group_lost_to_rounding(self, spec0):
+        # after the 1e20 sample the tied pair adds no weight to the running
+        # total, so the group has a zero step; its inner sample takes its left
+        # boundary instead of 0/0 (all correct) or 2/0 (the heavy one wrong)
+        rep = report(Dataset([5.0, 1.0, -1.0], [1, 1, 1], [1e20, 1.0, 1.0]), spec0)
+        assert (rep.accuracy, rep.lxcim, rep.audrc) == (1.0, 1.0, 1.0)
+        rep = report(Dataset([5.0, 1.0, -1.0], [0, 1, 0], [1e20, 1.0, 1.0]), spec0)
+        assert rep.audrc == (2.0 / 1e20) / 1e20
+
 
 class TestReport:
     def test_worked_example(self, d0, spec0):
@@ -288,7 +287,7 @@ class TestCurveType:
 
     def test_points_round_trip(self):
         curve = Curve(CurveKind.ACC_RATE, np.array([0.5, 1.0]), np.array([1.0, 0.75]))
-        assert curve.points == ((0.5, 1.0), (1.0, 0.75))
+        assert curve.x.tolist() == [0.5, 1.0] and curve.y.tolist() == [1.0, 0.75]
         assert len(curve) == 2
 
 

@@ -11,7 +11,7 @@ from lxcim import (
     rank_by_confidence,
     validate_decision_spec,
 )
-from lxcim.model import DecisionSpec
+from lxcim.model import DecisionSpec, SpecViolation
 
 from conftest import random_dataset
 
@@ -97,6 +97,23 @@ class TestPredict:
         for s in (-3.0, -0.25, 0.125, 9.0):
             assert predict(spec0.reflect_at(s), spec0) == 1 - predict(s, spec0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, spec0, bad):
+        with pytest.raises(ValueError, match="finite"):
+            predict(bad, spec0)
+        with pytest.raises(ValueError, match="finite"):
+            predict(np.array([bad, 1.0]), spec0)
+        with pytest.raises(ValueError, match="finite"):
+            predict([[1.0], [bad]], spec0)
+
+    @pytest.mark.parametrize(
+        "scores", [0.2, 0.0, -3, np.float32(1.5), [], [0.5, -0.5], [[1.0, 0.0], [-2.0, 7.0]]]
+    )
+    def test_int64_of_the_input_shape(self, spec0, scores):
+        out = predict(scores, spec0)
+        assert out.dtype == np.int64 and out.shape == np.shape(scores)
+        assert np.array_equal(out, np.asarray(scores, dtype=float) > 0.0)
+
 
 class TestAbsSpec:
     def test_confidence_is_distance(self):
@@ -119,6 +136,13 @@ class TestAbsSpec:
         scores = np.random.default_rng(2).uniform(0.0, 1.0, 1000)
         reflected = spec.reflect_at(scores)
         assert np.array_equal(spec.confidence_at(reflected), spec.confidence_at(scores))
+
+    @pytest.mark.parametrize("scores", [1.5, -2, [], [0.25, -4.0], [[1.0], [-1.0]]])
+    def test_maps_return_float64_of_the_input_shape(self, scores):
+        spec = make_abs_spec(0.5)
+        for out in (spec.confidence_at(scores), spec.reflect_at(scores)):
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == np.shape(scores)
 
     def test_rejects_non_finite_threshold(self):
         with pytest.raises(ValueError):
@@ -146,6 +170,58 @@ class TestValidateDecisionSpec:
         spec = DecisionSpec(s_star=0.0, confidence=lambda s: abs(s) + 1.0, reflect=lambda s: -s)
         rep = validate_decision_spec(spec, self.GRID)
         assert "minimum-at-threshold" in rep.checks_failed()
+
+    # The four checks below are pinned to their exact violations: check, score,
+    # detail text and order (grid order, then the order the checks run in).
+
+    def test_non_finite_reflection_is_flagged(self):
+        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 2.0, np.inf, -s))
+        assert validate_decision_spec(spec, self.GRID).violations == (
+            SpecViolation("involution", -2.0, "reflect(reflect(s))=np.float64(inf) != s=np.float64(-2.0)"),
+            SpecViolation("reflect-finite", 2.0, "reflect = np.float64(inf)"),
+        )
+
+    def test_moved_threshold_is_flagged(self):
+        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 0.0, 0.5, -s))
+        assert validate_decision_spec(spec, self.GRID).violations == (
+            SpecViolation("fixed-point", 0.0, "reflect(s_star) = np.float64(0.5), expected s_star"),
+        )
+
+    def test_asymmetric_confidence_is_flagged(self):
+        spec = DecisionSpec(s_star=0.0, confidence=lambda s: np.where(s > 0, 2 * s, -s), reflect=np.negative)
+        detail = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
+        assert validate_decision_spec(spec, self.GRID).violations == (
+            SpecViolation("confidence-symmetry", -2.0, detail.format(4.0, 2.0)),
+            SpecViolation("confidence-symmetry", -1.0, detail.format(2.0, 1.0)),
+            SpecViolation("confidence-symmetry", 1.0, detail.format(1.0, 2.0)),
+            SpecViolation("confidence-symmetry", 2.0, detail.format(2.0, 4.0)),
+        )
+
+    def test_non_involution_is_flagged(self):
+        # keeps floor(|s|), so only the involution breaks
+        spec = DecisionSpec(
+            s_star=0.0,
+            confidence=lambda s: np.floor(np.abs(s)),
+            reflect=lambda s: -s - 0.5 * np.sign(s),
+        )
+        detail = "reflect(reflect(s))=np.float64({}) != s=np.float64({})"
+        assert validate_decision_spec(spec, self.GRID).violations == (
+            SpecViolation("involution", -2.0, detail.format(-3.0, -2.0)),
+            SpecViolation("involution", -1.0, detail.format(-2.0, -1.0)),
+            SpecViolation("involution", 1.0, detail.format(2.0, 1.0)),
+            SpecViolation("involution", 2.0, detail.format(3.0, 2.0)),
+        )
+
+    def test_checks_at_one_score_keep_their_order(self):
+        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: -2.0 * s)
+        symmetry = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
+        involution = "reflect(reflect(s))=np.float64({}) != s=np.float64({})"
+        assert validate_decision_spec(spec, [-1.0, 0.0, 0.5]).violations == (
+            SpecViolation("confidence-symmetry", -1.0, symmetry.format(2.0, 1.0)),
+            SpecViolation("involution", -1.0, involution.format(-4.0, -1.0)),
+            SpecViolation("confidence-symmetry", 0.5, symmetry.format(1.0, 0.5)),
+            SpecViolation("involution", 0.5, involution.format(2.0, 0.5)),
+        )
 
     def test_grid_preconditions(self):
         spec = make_abs_spec(0.0)

@@ -229,8 +229,6 @@ class TestConvergenceStudy:
             convergence_study([10, 10], seeds=3)
         with pytest.raises(ValueError):
             convergence_study([10, 100], seeds=0)
-        with pytest.raises(ValueError):
-            convergence_study([10, 100], seeds=3, kind=GeneratorKind.IDEAL)
 
 
 class TestRateCurveHead:
