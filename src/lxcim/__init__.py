@@ -14,6 +14,7 @@ from .errors import (
     InfeasiblePerturbationError,
     InvalidMaskError,
     LxcimError,
+    NonFiniteMapError,
     NonFiniteValueError,
     NonPositiveWeightError,
     ParseError,
@@ -142,6 +143,7 @@ __all__ = [
     "SingleClassError",
     "InvalidMaskError",
     "InfeasiblePerturbationError",
+    "NonFiniteMapError",
     "PredictionFileError",
     "ParseError",
     "UnknownLabelError",

@@ -6,7 +6,8 @@ class-exchange doubled file), ``synth`` (synthetic prediction files), and
 ``study`` (chance-level convergence table).
 
 Exit codes: 0 success / invariant holds, 1 invariance violation, 2 usage
-error, 3 I/O, parse, or metric error.
+error, 3 I/O, parse, or metric error (including a confidence or reflection
+that overflows at the given threshold).
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as file_io
-from .errors import LxcimError
+from .errors import LxcimError, NonFiniteMapError
 from .exchange import check_rank_lxc_invariance, duplicate_dataset
 from .metrics import (
     CurveKind,
@@ -293,7 +296,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        # an overflowing map or total is reported once, below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(parser, args)
+    except NonFiniteMapError as exc:
+        print(
+            f"lxcim: {exc}: a confidence or reflection overflows at this threshold",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     except LxcimError as exc:
         print(f"lxcim: {exc}", file=sys.stderr)
         return EXIT_DATA

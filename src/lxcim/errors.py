@@ -12,6 +12,7 @@ __all__ = [
     "SingleClassError",
     "InvalidMaskError",
     "InfeasiblePerturbationError",
+    "NonFiniteMapError",
     "PredictionFileError",
     "ParseError",
     "UnknownLabelError",
@@ -38,6 +39,13 @@ class InvalidMaskError(LxcimError):
 
 class InfeasiblePerturbationError(LxcimError):
     """A confusion-matrix perturbation would drive an entry below zero."""
+
+
+class NonFiniteMapError(LxcimError, ValueError):
+    """A spec's confidence or reflection map gave a NaN or infinite value on finite scores.
+
+    Usually a threshold so far from the scores that ``s - s_star`` overflows.
+    """
 
 
 class PredictionFileError(LxcimError):

@@ -22,7 +22,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InfeasiblePerturbationError, InvalidMaskError, LxcimError
+from .errors import (
+    EmptyDatasetError,
+    InfeasiblePerturbationError,
+    InvalidMaskError,
+    LxcimError,
+    NonFiniteMapError,
+)
 from .metrics import ConfusionMatrix
 from .model import Dataset, DecisionSpec
 
@@ -138,7 +144,7 @@ def _exchange(
     """
     scores = np.where(take, mirror[0], dataset.scores)
     if not mirror[2] and not np.isfinite(scores).all():
-        raise ValueError("scores must all be finite")
+        raise NonFiniteMapError("scores must all be finite")
     return Dataset._from_valid(scores, np.where(take, mirror[1], dataset.labels), dataset.weights)
 
 
@@ -152,7 +158,7 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
     scores, labels, finite = _mirror(dataset, spec)
     if not finite:
-        raise ValueError("scores must all be finite")
+        raise NonFiniteMapError("scores must all be finite")
     return Dataset._from_valid(
         np.concatenate((dataset.scores, scores)),
         np.concatenate((dataset.labels, labels)),
@@ -202,8 +208,9 @@ def check_rank_lxc_invariance(
     Masks are drawn uniformly over all 2^N subsets (independent fair bit per
     position).  A deviation beyond ``tolerance``, or the metric failing on an
     exchanged dataset it accepted originally (e.g. AUROC turning single-class),
-    is recorded as a witness.  Trials run sequentially from one seeded
-    generator, so a witness is reproducible from (seed, trial).
+    is recorded as a witness; a ``NonFiniteMapError`` is raised, not recorded.
+    Trials run sequentially from one seeded generator, so a witness is
+    reproducible from (seed, trial).
 
     A trial costs one O(N) exchange plus one metric call.  The full
     exchange is reflected once per check; a trial draws its fair bits and
@@ -224,6 +231,8 @@ def check_rank_lxc_invariance(
         exchanged = _exchange(dataset, take, mirror)
         try:
             value = float(metric(exchanged))
+        except NonFiniteMapError:
+            raise  # the spec fails on exchanged scores: an error, not a witness
         except LxcimError as exc:
             max_deviation = math.inf
             if witness is None:
@@ -278,6 +287,11 @@ class PerturbationWitness:
         return f"delta1={self.delta1!r}, delta2={self.delta2!r}: value {self.value!r}"
 
 
+# the integer grid's half-width: its probe count grows with its square, and
+# the random perturbations cover the rest of the feasible box
+_GRID_REACH = 16
+
+
 def check_categorical_lxc_invariance(
     metric: Callable[[ConfusionMatrix], float],
     cm: ConfusionMatrix,
@@ -287,10 +301,11 @@ def check_categorical_lxc_invariance(
 ) -> InvarianceReport:
     """Probe a confusion-matrix metric under correctness-preserving moves.
 
-    Sweeps a small exhaustive integer grid |delta| <= min entry first (where
-    witnesses live for the classic scores), then ``trials`` random real
-    perturbations drawn uniformly over the feasible box.  Moves that
-    ``perturb_confusion`` refuses as infeasible are skipped.
+    Sweeps the exhaustive integer grid |delta| <= min(floor(min entry),
+    ``_GRID_REACH``) first (where witnesses live for the classic scores), at
+    most 33^2 - 1 = 1088 probes, then ``trials`` random real perturbations
+    drawn uniformly over the feasible box.  Moves that ``perturb_confusion``
+    refuses as infeasible are skipped.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -310,7 +325,7 @@ def check_categorical_lxc_invariance(
         if deviation > tolerance and witness is None:
             witness = PerturbationWitness(delta1=delta1, delta2=delta2, value=value)
 
-    reach = int(math.floor(min(cm.as_tuple())))
+    reach = min(int(math.floor(min(cm.as_tuple()))), _GRID_REACH)
     for d1, d2 in itertools.product(range(-reach, reach + 1), repeat=2):
         if (d1, d2) != (0, 0):
             probe(float(d1), float(d2))

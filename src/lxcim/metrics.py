@@ -102,10 +102,11 @@ class Curve:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
             raise ValueError("x and y must be equal-length nonempty 1-d arrays")
-        if np.any(np.diff(x) < 0):
+        # the same verdict as np.diff(x) < 0, even for inf and overflow, without the differences
+        if (x[1:] < x[:-1]).any():
             raise ValueError("x must be non-decreasing")
         if self.kind in (CurveKind.ROC, CurveKind.CUM_ACC):
-            if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
+            if (x < 0).any() or (x > 1).any() or (y < 0).any() or (y > 1).any():
                 raise ValueError(f"{self.kind.value} breakpoints must lie in the unit square")
         for arr in (x, y):
             arr.setflags(write=False)

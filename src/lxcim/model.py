@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, NonFiniteMapError
 
 __all__ = [
     "Dataset",
@@ -378,8 +378,8 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     the result equals one lexsort on (confidence, correctness, weight, score,
     label, position) for any spec that meets the DecisionSpec contract.
 
-    Raises EmptyDatasetError for an empty dataset and ValueError if the
-    confidence map produces non-finite values.
+    Raises EmptyDatasetError for an empty dataset and NonFiniteMapError if
+    the confidence map produces non-finite values.
     """
     scores = dataset.scores
     n = len(scores)
@@ -390,7 +390,7 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     conf_r = conf[order]
     # the sort puts +inf first and -inf, then NaN, last
     if not (math.isfinite(conf_r[0]) and math.isfinite(conf_r[-1])):
-        raise ValueError("confidence map produced non-finite values")
+        raise NonFiniteMapError("confidence map produced non-finite values")
 
     predicted = scores > spec.s_star
     correct_all = predicted == dataset.labels.astype(bool)

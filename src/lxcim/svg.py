@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -31,6 +30,15 @@ class Series:
     y: Sequence[float]
     color: str | None = None
     dashed: bool = False
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` with the replacements ``xml.sax.saxutils.escape`` makes.
+
+    Written out because importing ``xml.sax`` pulls ``urllib``, ``http``,
+    ``email`` and ``ssl`` into every CLI process, and ``html`` its entity tables.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(value: float) -> str:
@@ -63,7 +71,7 @@ def line_chart(
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
         parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" font-size="15">{_escape(title)}</text>'
         )
 
     for tx in _TICKS:
@@ -91,13 +99,13 @@ def line_chart(
     if x_label:
         parts.append(
             f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.1f}" y="{_HEIGHT - 10}" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
+            f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         cx, cy = 18, _MARGIN_TOP + _PLOT_H / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(y_label)}</text>'
         )
 
     for idx, s in enumerate(series):
@@ -107,12 +115,19 @@ def line_chart(
             raise ValueError(f"series {s.label!r} needs equal-length nonempty x and y")
         color = s.color or _PALETTE[idx % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.dashed else ""
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         if len(xs) == 1:
             parts.append(
                 f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" r="3" fill="{color}"/>'
             )
         else:
+            # whole columns, in the operation order of px and py: the same bits
+            coords = " ".join(
+                map(
+                    "{:.2f},{:.2f}".format,
+                    (_MARGIN_LEFT + xs * _PLOT_W).tolist(),
+                    (_MARGIN_TOP + _PLOT_H - ys * _PLOT_H).tolist(),
+                )
+            )
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
             )
@@ -126,7 +141,7 @@ def line_chart(
         parts.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
-        parts.append(f'<text x="{lx + 32}" y="{ly + 4}">{escape(s.label)}</text>')
+        parts.append(f'<text x="{lx + 32}" y="{ly + 4}">{_escape(s.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

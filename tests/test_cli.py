@@ -1,11 +1,14 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lxcim
 from lxcim import Dataset, ingest
 from lxcim.cli import main
 
@@ -357,3 +360,53 @@ class TestChartBytes:
         curves = tmp_path / "study"
         assert run(["study", "--sizes", "6,25", "--seeds", 2, "--seed", 3, "--curves-dir", curves]) == 0
         assert self.digests(curves) == self.STUDY_SVG
+
+
+class TestNonFiniteMap:
+    """A threshold whose confidence or reflection overflows is a data error, exit 3."""
+
+    @pytest.mark.parametrize(
+        "command, scores, s_star",
+        [
+            (["duplicate", "--output", "out.csv"], ("1.0", "-2.0"), "1e308"),
+            (["eval"], ("1e308", "-2.0"), "-1e308"),
+            (["check", "--metric", "lxcim"], ("1e308", "-2.0"), "-1e308"),
+        ],
+        ids=["duplicate", "eval", "check"],
+    )
+    def test_exit_three_without_warning_or_usage(
+        self, tmp_path, monkeypatch, capsys, command, scores, s_star
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("far.csv").write_text(f"score,label\n{scores[0]},1\n{scores[1]},0\n", encoding="utf-8")
+        assert run(command + ["--input", "far.csv", f"--s-star={s_star}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lxcim: ") and captured.err.count("\n") == 1
+        assert "overflows at this threshold" in captured.err
+        assert "RuntimeWarning" not in captured.err and "usage:" not in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestStartup:
+    def test_cli_import_adds_no_network_or_xml_modules(self):
+        # measured against numpy, so modules a site .pth preloads do not count
+        code = (
+            "import json, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import lxcim.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        src = str(Path(lxcim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = json.loads(proc.stdout)
+        assert "lxcim.cli" in added and "lxcim.svg" in added
+        heavy = {"urllib", "http", "email", "ssl", "socket", "xml", "html"}
+        assert [name for name in added if name.split(".")[0] in heavy] == []

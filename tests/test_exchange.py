@@ -1,4 +1,5 @@
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -15,6 +16,7 @@ from lxcim import (
     InvalidMaskError,
     InvarianceReport,
     LxcimError,
+    NonFiniteMapError,
     PerturbationWitness,
     accuracy,
     audrc,
@@ -383,6 +385,29 @@ class TestExchangeResults:
             [0.0, 1.0, 0.0, -1.0], [1, 0, 1, 1]
         )
 
+    def test_overflowing_reflection_is_typed(self):
+        spec = overflowing_spec()
+        d = Dataset([1.0, 6.0, -2.0, 0.0], [1, 0, 1, 1])
+        for call in (
+            lambda: exchange_subset(d, [1], spec),
+            lambda: duplicate_dataset(d, spec),
+            lambda: check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=50),
+        ):
+            with pytest.raises(NonFiniteMapError) as err:
+                call()
+            assert isinstance(err.value, LxcimError) and isinstance(err.value, ValueError)
+
+    def test_confidence_failing_on_exchanged_scores_is_raised_not_a_witness(self):
+        # finite on the original scores, NaN on their reflections
+        spec = DecisionSpec(
+            s_star=0.0,
+            confidence=lambda s: np.where(s < -5.0, np.nan, np.abs(s)),
+            reflect=lambda s: -s,
+        )
+        d = Dataset([6.0, 1.0, -2.0], [1, 0, 1])
+        with pytest.raises(NonFiniteMapError, match="non-finite"):
+            check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=20, seed=0)
+
     def assert_sealed(self, d):
         for name, dtype in (("scores", np.float64), ("labels", np.int64), ("weights", np.float64)):
             arr = getattr(d, name)
@@ -467,6 +492,30 @@ class TestCategoricalChecker:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             check_categorical_lxc_invariance(f1_score, ConfusionMatrix(1, 1, 1, 1), trials=0)
+
+    def test_grid_reach_is_capped(self):
+        # all four cells >= 16, so every move of the 33 x 33 grid is feasible
+        calls = []
+
+        def counted_accuracy(cm):
+            calls.append(cm)
+            return _categorical_accuracy(cm)
+
+        rep = check_categorical_lxc_invariance(
+            counted_accuracy, ConfusionMatrix(30, 16, 17, 500), trials=1, seed=0
+        )
+        assert rep.passed
+        assert len(calls) == 1 + (33 * 33 - 1) + 1  # baseline, grid, one random move
+
+    def test_large_matrix_is_quick_and_finds_a_grid_witness(self):
+        cm = ConfusionMatrix(900, 300, 600, 1200)
+        start = time.perf_counter()
+        rep = check_categorical_lxc_invariance(f1_score, cm)
+        assert time.perf_counter() - start < 1.0
+        w = rep.witness
+        assert w is not None and abs(w.delta1) <= 16 and abs(w.delta2) <= 16
+        assert float(w.delta1).is_integer() and float(w.delta2).is_integer()
+        assert f1_score(perturb_confusion(cm, w.delta1, w.delta2)) == w.value
 
 
 def reference_categorical_check(metric, cm, trials, seed, tolerance=1e-9):

@@ -285,6 +285,51 @@ class TestCurveType:
         with pytest.raises(ValueError):
             Curve(CurveKind.ROC, np.array([0.0, 1.5]), np.array([0.0, 1.0]))
 
+    @staticmethod
+    def reference_checks(kind, x, y):
+        """The checks ``Curve`` made through ``np.diff`` and ``np.any`` before."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
+            if np.any(np.diff(x) < 0):
+                raise ValueError("x must be non-decreasing")
+        if kind in (CurveKind.ROC, CurveKind.CUM_ACC):
+            if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
+                raise ValueError(f"{kind.value} breakpoints must lie in the unit square")
+
+    @staticmethod
+    def outcome(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return "accepted"
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_checks_match_reference(self, kind):
+        specials = [
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1e-300, -5e-324, 1.0 + 2**-52, 1.5,
+            1e308, -1e308, 0.75, 0.1,
+        ]
+        base = [0.0, 0.25, 0.5, 1.0]
+        outcomes = set()
+        for axis in ("x", "y"):
+            for at in range(len(base)):
+                for value in specials:
+                    x, y = list(base), list(base)
+                    (x if axis == "x" else y)[at] = value
+                    expected = self.outcome(lambda: self.reference_checks(kind, x, y))
+                    assert self.outcome(lambda: Curve(kind, np.array(x), np.array(y))) == expected
+                    outcomes.add(expected)
+        # a decreasing run, and the reversed axes
+        for x in ([1.0, 0.5, 0.5, 0.0], [0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, 1.0]):
+            expected = self.outcome(lambda: self.reference_checks(kind, x, base))
+            assert self.outcome(lambda: Curve(kind, np.array(x), np.array(base))) == expected
+            outcomes.add(expected)
+        assert "accepted" in outcomes and "x must be non-decreasing" in outcomes
+        if kind is not CurveKind.ACC_RATE:
+            assert f"{kind.value} breakpoints must lie in the unit square" in outcomes
+
     def test_points_round_trip(self):
         curve = Curve(CurveKind.ACC_RATE, np.array([0.5, 1.0]), np.array([1.0, 0.75]))
         assert curve.x.tolist() == [0.5, 1.0] and curve.y.tolist() == [1.0, 0.75]

@@ -6,6 +6,7 @@ import pytest
 from lxcim import (
     Dataset,
     EmptyDatasetError,
+    NonFiniteMapError,
     make_abs_spec,
     predict,
     rank_by_confidence,
@@ -258,6 +259,13 @@ class TestRankByConfidence:
         )
         with pytest.raises(ValueError, match="non-finite"):
             rank_by_confidence(d0, spec)
+
+    def test_overflowing_confidence_is_typed(self):
+        # |1e308 - (-1e308)| overflows: a data error, not a usage error
+        spec = make_abs_spec(-1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteMapError, match="non-finite"):
+                rank_by_confidence(Dataset([1e308, -2.0], [1, 0]), spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 2, 3])
