@@ -52,7 +52,8 @@ class ExchangeMask:
     """0-based dataset positions selected for exchange.
 
     Accepts any iterable of non-negative integral numbers (lists, ranges,
-    generators, integer arrays).  ``indices`` holds them sorted, without
+    generators, integer arrays), but not booleans: ``np.flatnonzero`` turns
+    a boolean mask into positions.  ``indices`` holds them sorted, without
     duplicates, as a read-only int64 array.
     """
 
@@ -65,7 +66,9 @@ class ExchangeMask:
             raise InvalidMaskError(f"mask indices must be integers >= 0: {exc}") from None
         if raw.size == 0:
             raw = np.empty(0, dtype=np.int64)
-        if raw.ndim != 1 or raw.dtype.kind not in "biuf":
+        if raw.dtype.kind == "b":
+            raise InvalidMaskError("mask indices must be integers >= 0, not booleans: pass np.flatnonzero(mask)")
+        if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise InvalidMaskError(f"mask indices must be integers >= 0, got {raw!r}")
         if raw.dtype.kind == "f":
             ok = (raw >= 0.0) & (raw < 2.0**63) & (raw == np.trunc(raw))

@@ -230,84 +230,76 @@ def validate_decision_spec(
     Checks: zero minimum exactly at the threshold, positivity elsewhere,
     strict decrease below / increase above the threshold, confidence symmetry
     under reflection, reflection being a sign-flipping involution that fixes
-    the threshold.
+    the threshold, the last two up to ``math.isclose`` with the given
+    tolerances.  Violations come in three blocks: ``minimum-at-threshold``,
+    then ``bi-monotonic`` (each in grid order), then per grid point
+    ``reflect-finite``, ``fixed-point``, ``confidence-symmetry``,
+    ``involution`` and ``sign-flip``.
     """
     grid_arr = _as_float_array(grid, "grid")
     if len(grid_arr) == 0:
         raise ValueError("grid must be nonempty")
-    if not np.all(np.isfinite(grid_arr)):
+    if not np.isfinite(grid_arr).all():
         raise ValueError("grid must be finite")
-    if np.any(np.diff(grid_arr) < 0):
+    if (grid_arr[1:] < grid_arr[:-1]).any():
         raise ValueError("grid must be sorted ascending")
-    if not np.any(grid_arr == spec.s_star):
+    s_star = spec.s_star
+    at = grid_arr == s_star
+    if not at.any():
         raise ValueError("grid must contain s_star")
 
-    conf = spec.confidence_at(grid_arr)
-    refl = spec.reflect_at(grid_arr)
-    violations: list[SpecViolation] = []
+    def close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = np.abs(a - b)
+        near = (diff <= rel_tol * np.maximum(np.abs(a), np.abs(b))) | (diff <= abs_tol)
+        return (a == b) | (np.isfinite(a) & np.isfinite(b) & near)
 
-    def close(a: float, b: float) -> bool:
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+    # overflow and NaN in the maps are reported as violations, not warned about
+    with np.errstate(all="ignore"):
+        conf = spec.confidence_at(grid_arr)
+        refl = spec.reflect_at(grid_arr)
+        conf_refl = spec.confidence_at(refl)
+        refl_refl = spec.reflect_at(refl)
+        asymmetric, not_involutive = ~close(conf_refl, conf), ~close(refl_refl, grid_arr)
+    finite = np.isfinite(refl)
+    live = finite & ~at
+    if live.any():  # math.isclose rejects bad tolerances wherever it runs
+        math.isclose(0.0, 0.0, rel_tol=rel_tol, abs_tol=abs_tol)
+    below, above = grid_arr < s_star, grid_arr > s_star
+    # the grid starts at or below s_star and ends at or above it, so the
+    # wrapped-around pair (last, first) is never on one side
+    conf_prev = np.roll(conf, 1)
+    not_falling = below & np.roll(below, 1) & ~(conf < conf_prev)
+    not_rising = above & np.roll(above, 1) & ~(conf > conf_prev)
+    flipped = (refl != s_star) & ((refl > s_star) != above)
+    pair = "f({p!r})={cp!r}, f({s!r})={c!r}"
+    blocks = (
+        (
+            ("minimum-at-threshold", at & (conf != 0.0), "confidence(s_star) = {c!r}, expected 0"),
+            ("minimum-at-threshold", ~at & ~(conf > 0.0), "confidence = {c!r}, expected > 0 away from s_star"),
+        ),
+        (
+            ("bi-monotonic", not_falling, "confidence must strictly decrease below s_star: " + pair),
+            ("bi-monotonic", not_rising, "confidence must strictly increase above s_star: " + pair),
+        ),
+        (
+            ("reflect-finite", ~finite, "reflect = {r!r}"),
+            ("fixed-point", finite & at & (refl != s_star), "reflect(s_star) = {r!r}, expected s_star"),
+            ("confidence-symmetry", live & asymmetric, "confidence(reflect(s))={cr!r} != confidence(s)={c!r}"),
+            ("involution", live & not_involutive, "reflect(reflect(s))={rr!r} != s={s!r}"),
+            ("sign-flip", live & ~flipped, "reflect(s)={r!r} is not on the opposite side of s_star"),
+        ),
+    )
 
-    for s, c in zip(grid_arr, conf):
-        if s == spec.s_star:
-            if c != 0.0:
-                violations.append(
-                    SpecViolation("minimum-at-threshold", float(s), f"confidence(s_star) = {c!r}, expected 0")
-                )
-        elif not c > 0.0:
-            violations.append(
-                SpecViolation("minimum-at-threshold", float(s), f"confidence = {c!r}, expected > 0 away from s_star")
+    violations = []
+    for block in blocks:
+        checks, masks, texts = zip(*block)
+        # row-major: grid order, then the order of the checks within a block
+        for i, k in zip(*np.column_stack(masks).nonzero()):
+            s = grid_arr[i]
+            detail = texts[k].format(
+                s=s, c=conf[i], p=grid_arr[i - 1], cp=conf[i - 1], r=refl[i], cr=conf_refl[i], rr=refl_refl[i]
             )
-
-    below = grid_arr < spec.s_star
-    above = grid_arr > spec.s_star
-    bs, bc = grid_arr[below], conf[below]
-    for i in range(1, len(bs)):
-        if not bc[i] < bc[i - 1]:
-            violations.append(
-                SpecViolation(
-                    "bi-monotonic",
-                    float(bs[i]),
-                    f"confidence must strictly decrease below s_star: f({bs[i - 1]!r})={bc[i - 1]!r}, f({bs[i]!r})={bc[i]!r}",
-                )
-            )
-    as_, ac = grid_arr[above], conf[above]
-    for i in range(1, len(as_)):
-        if not ac[i] > ac[i - 1]:
-            violations.append(
-                SpecViolation(
-                    "bi-monotonic",
-                    float(as_[i]),
-                    f"confidence must strictly increase above s_star: f({as_[i - 1]!r})={ac[i - 1]!r}, f({as_[i]!r})={ac[i]!r}",
-                )
-            )
-
-    conf_of_refl = spec.confidence_at(refl)
-    refl_of_refl = spec.reflect_at(refl)
-    for s, c, r, cr, rr in zip(grid_arr, conf, refl, conf_of_refl, refl_of_refl):
-        if not math.isfinite(r):
-            violations.append(SpecViolation("reflect-finite", float(s), f"reflect = {r!r}"))
-            continue
-        if s == spec.s_star:
-            if r != spec.s_star:
-                violations.append(
-                    SpecViolation("fixed-point", float(s), f"reflect(s_star) = {r!r}, expected s_star")
-                )
-            continue
-        if not close(cr, c):
-            violations.append(
-                SpecViolation("confidence-symmetry", float(s), f"confidence(reflect(s))={cr!r} != confidence(s)={c!r}")
-            )
-        if not close(rr, s):
-            violations.append(
-                SpecViolation("involution", float(s), f"reflect(reflect(s))={rr!r} != s={s!r}")
-            )
-        if math.copysign(1.0, r - spec.s_star) == math.copysign(1.0, s - spec.s_star) or r == spec.s_star:
-            violations.append(
-                SpecViolation("sign-flip", float(s), f"reflect(s)={r!r} is not on the opposite side of s_star")
-            )
-
+            violations.append(SpecViolation(checks[k], float(s), detail))
     return SpecValidationReport(tuple(violations))
 
 
@@ -332,7 +324,6 @@ class RankedView:
     """
 
     order: np.ndarray
-    confidence: np.ndarray
     correct: np.ndarray
     weight: np.ndarray
     cum_weight: np.ndarray
@@ -401,7 +392,6 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
         # wrong before right and light before heavy: exchanges preserve both
         # keys, so tied samples land on the same boundaries after any exchange
         order = _canonical_ties(order, new_group, correct_all, predicted, dataset.weights)
-        conf_r = conf[order]  # tied values can still differ in the sign of zero
         last = np.empty(n, dtype=bool)  # the last sample of each tie group
         last[:-1], last[-1] = new_group, True
         group_ends = last.nonzero()[0] + 1
@@ -411,11 +401,10 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     cum_weight = weight_r.cumsum()
     cum_correct = (weight_r * correct).cumsum()
 
-    for arr in (order, conf_r, correct, weight_r, cum_weight, cum_correct, group_ends):
+    for arr in (order, correct, weight_r, cum_weight, cum_correct, group_ends):
         arr.setflags(write=False)
     return RankedView(
         order=order,
-        confidence=conf_r,
         correct=correct,
         weight=weight_r,
         cum_weight=cum_weight,

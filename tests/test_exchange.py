@@ -99,6 +99,15 @@ class TestExchangeSubset:
             with pytest.raises(InvalidMaskError):
                 ExchangeMask(bad)
 
+    @pytest.mark.parametrize("mask", [[True, False, True], np.array([True, False, True])], ids=["list", "array"])
+    def test_boolean_mask_rejected(self, d0, spec0, mask):
+        # read as integers, it would name the positions 0 and 1
+        with pytest.raises(InvalidMaskError, match="flatnonzero"):
+            ExchangeMask(mask)
+        with pytest.raises(InvalidMaskError, match="flatnonzero"):
+            exchange_subset(d0, mask, spec0)
+        assert exchange_subset(d0, np.flatnonzero(mask), spec0) == exchange_subset(d0, [0, 2], spec0)
+
     def test_mask_is_a_sorted_unique_index_array(self):
         for given in ([2, 0, 2], range(0, 3, 2), (i for i in (2, 0)), np.array([2, 0]), [2.0, 0]):
             mask = ExchangeMask(given)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lxcim import (
     rank_by_confidence,
     validate_decision_spec,
 )
-from lxcim.model import DecisionSpec, SpecViolation
+from lxcim.model import DecisionSpec, SpecValidationReport, SpecViolation
 
 from conftest import random_dataset
 
@@ -224,12 +225,268 @@ class TestValidateDecisionSpec:
             SpecViolation("involution", 0.5, involution.format(2.0, 0.5)),
         )
 
+    def test_nonzero_minimum_is_pinned(self):
+        spec = DecisionSpec(s_star=0.0, confidence=lambda s: np.abs(s) + 1.0, reflect=np.negative)
+        assert validate_decision_spec(spec, self.GRID).violations == (
+            SpecViolation("minimum-at-threshold", 0.0, "confidence(s_star) = np.float64(1.0), expected 0"),
+        )
+
+    def test_non_positive_confidence_away_is_pinned(self):
+        # NaN at a duplicated point below the threshold, and 0 at the first
+        # point past it; the zero is mirrored, so it breaks no symmetry
+        spec = DecisionSpec(
+            s_star=0.5,
+            confidence=lambda s: np.where(s == -1.0, np.nan, np.where(np.abs(s - 0.5) == 0.25, 0.0, np.abs(s - 0.5))),
+            reflect=lambda s: 1.0 - s,
+        )
+        away = "confidence = np.float64({}), expected > 0 away from s_star"
+        below = "confidence must strictly decrease below s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
+        symmetry = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
+        assert validate_decision_spec(spec, [-1.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0]).violations == (
+            SpecViolation("minimum-at-threshold", -1.0, away.format("nan")),
+            SpecViolation("minimum-at-threshold", -1.0, away.format("nan")),
+            SpecViolation("minimum-at-threshold", 0.75, away.format(0.0)),
+            SpecViolation("bi-monotonic", -1.0, below.format(-1.0, "nan", -1.0, "nan")),
+            SpecViolation("bi-monotonic", 0.0, below.format(-1.0, "nan", 0.0, 0.5)),
+            SpecViolation("confidence-symmetry", -1.0, symmetry.format(1.5, "nan")),
+            SpecViolation("confidence-symmetry", -1.0, symmetry.format(1.5, "nan")),
+            SpecViolation("confidence-symmetry", 2.0, symmetry.format("nan", 1.5)),
+        )
+
+    def test_bi_monotonic_is_pinned(self):
+        # symmetric but dipping at |s| = 2, and flat across a duplicate; the
+        # pair that straddles s_star is not compared
+        spec = DecisionSpec(
+            s_star=0.0, confidence=lambda s: np.where(np.abs(s) == 2.0, 0.5, np.abs(s)), reflect=np.negative
+        )
+        below = "confidence must strictly decrease below s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
+        above = "confidence must strictly increase above s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
+        assert validate_decision_spec(spec, [-2.0, -1.0, -1.0, 0.0, 1.0, 2.0, 3.0]).violations == (
+            SpecViolation("bi-monotonic", -1.0, below.format(-2.0, 0.5, -1.0, 1.0)),
+            SpecViolation("bi-monotonic", -1.0, below.format(-1.0, 1.0, -1.0, 1.0)),
+            SpecViolation("bi-monotonic", 2.0, above.format(1.0, 1.0, 2.0, 0.5)),
+        )
+
+    def test_sign_flip_is_pinned(self):
+        # identity away from 2.0, which lands on s_star itself
+        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 2.0, 0.0, s))
+        flip = "reflect(s)=np.float64({}) is not on the opposite side of s_star"
+        assert validate_decision_spec(spec, [-1.0, 0.0, 1.0, 2.0]).violations == (
+            SpecViolation("sign-flip", -1.0, flip.format(-1.0)),
+            SpecViolation("sign-flip", 1.0, flip.format(1.0)),
+            SpecViolation("confidence-symmetry", 2.0, "confidence(reflect(s))=np.float64(0.0) != confidence(s)=np.float64(2.0)"),
+            SpecViolation("involution", 2.0, "reflect(reflect(s))=np.float64(0.0) != s=np.float64(2.0)"),
+            SpecViolation("sign-flip", 2.0, flip.format(0.0)),
+        )
+
+    def test_overflow_is_reported_not_warned(self):
+        # the grid's one step, 2e308, and the reflection of -1e308 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_decision_spec(make_abs_spec(1e308), [-1e308, 1e308])
+        assert rep.violations == (SpecViolation("reflect-finite", -1e308, "reflect = np.float64(inf)"),)
+
     def test_grid_preconditions(self):
         spec = make_abs_spec(0.0)
         with pytest.raises(ValueError):
             validate_decision_spec(spec, [1.0, -1.0, 0.0])
         with pytest.raises(ValueError):
             validate_decision_spec(spec, [-1.0, 1.0])
+
+
+def loop_validate_decision_spec(spec, grid, *, rel_tol=1e-12, abs_tol=1e-12):
+    """Reference validator: the per-grid-point loops that the masks replaced.
+
+    Kept verbatim, preconditions included, so that the whole-grid version can
+    be compared with it violation for violation, detail text included.
+    """
+    grid_arr = np.array(grid, dtype=float)
+    if len(grid_arr) == 0:
+        raise ValueError("grid must be nonempty")
+    if not np.all(np.isfinite(grid_arr)):
+        raise ValueError("grid must be finite")
+    if np.any(np.diff(grid_arr) < 0):
+        raise ValueError("grid must be sorted ascending")
+    if not np.any(grid_arr == spec.s_star):
+        raise ValueError("grid must contain s_star")
+
+    conf = spec.confidence_at(grid_arr)
+    refl = spec.reflect_at(grid_arr)
+    violations = []
+
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+
+    for s, c in zip(grid_arr, conf):
+        if s == spec.s_star:
+            if c != 0.0:
+                violations.append(
+                    SpecViolation("minimum-at-threshold", float(s), f"confidence(s_star) = {c!r}, expected 0")
+                )
+        elif not c > 0.0:
+            violations.append(
+                SpecViolation("minimum-at-threshold", float(s), f"confidence = {c!r}, expected > 0 away from s_star")
+            )
+
+    below = grid_arr < spec.s_star
+    above = grid_arr > spec.s_star
+    bs, bc = grid_arr[below], conf[below]
+    for i in range(1, len(bs)):
+        if not bc[i] < bc[i - 1]:
+            violations.append(
+                SpecViolation(
+                    "bi-monotonic",
+                    float(bs[i]),
+                    f"confidence must strictly decrease below s_star: f({bs[i - 1]!r})={bc[i - 1]!r}, f({bs[i]!r})={bc[i]!r}",
+                )
+            )
+    as_, ac = grid_arr[above], conf[above]
+    for i in range(1, len(as_)):
+        if not ac[i] > ac[i - 1]:
+            violations.append(
+                SpecViolation(
+                    "bi-monotonic",
+                    float(as_[i]),
+                    f"confidence must strictly increase above s_star: f({as_[i - 1]!r})={ac[i - 1]!r}, f({as_[i]!r})={ac[i]!r}",
+                )
+            )
+
+    conf_of_refl = spec.confidence_at(refl)
+    refl_of_refl = spec.reflect_at(refl)
+    for s, c, r, cr, rr in zip(grid_arr, conf, refl, conf_of_refl, refl_of_refl):
+        if not math.isfinite(r):
+            violations.append(SpecViolation("reflect-finite", float(s), f"reflect = {r!r}"))
+            continue
+        if s == spec.s_star:
+            if r != spec.s_star:
+                violations.append(
+                    SpecViolation("fixed-point", float(s), f"reflect(s_star) = {r!r}, expected s_star")
+                )
+            continue
+        if not close(cr, c):
+            violations.append(
+                SpecViolation("confidence-symmetry", float(s), f"confidence(reflect(s))={cr!r} != confidence(s)={c!r}")
+            )
+        if not close(rr, s):
+            violations.append(
+                SpecViolation("involution", float(s), f"reflect(reflect(s))={rr!r} != s={s!r}")
+            )
+        if math.copysign(1.0, r - spec.s_star) == math.copysign(1.0, s - spec.s_star) or r == spec.s_star:
+            violations.append(
+                SpecViolation("sign-flip", float(s), f"reflect(s)={r!r} is not on the opposite side of s_star")
+            )
+
+    return SpecValidationReport(tuple(violations))
+
+
+def _corpus_confidence(kind, a, pick, eps):
+    if kind == "abs":
+        return lambda s: np.abs(s - a)
+    if kind == "asymmetric":
+        return lambda s: np.where(s > a, 2.0 * (s - a), a - s)
+    if kind == "nearly-symmetric":
+        return lambda s: np.where(s > a, (s - a) * (1.0 + eps), a - s)
+    if kind == "floor":
+        return lambda s: np.floor(np.abs(s - a))
+    if kind == "shifted":
+        return lambda s: np.abs(s - a) + 0.25
+    if kind in ("inf", "nan"):
+        bad = np.inf if kind == "inf" else np.nan
+        return lambda s: np.where(s == pick, bad, np.abs(s - a))
+    raise AssertionError(kind)
+
+
+def _corpus_reflect(kind, a, pick, eps):
+    if kind == "mirror":
+        return lambda s: a - (s - a)
+    if kind == "off-by-eps":
+        return lambda s: (a - (s - a)) * (1.0 + eps)
+    if kind == "non-involutive":
+        return lambda s: a - 2.0 * (s - a)
+    if kind == "moved-fixed-point":
+        return lambda s: np.where(s == a, a + 0.5, a - (s - a))
+    if kind == "identity":
+        return lambda s: s + 0.0
+    if kind == "onto-threshold":
+        return lambda s: np.where(s == pick, a, a - (s - a))
+    if kind in ("inf", "nan"):
+        bad = -np.inf if kind == "inf" else np.nan
+        return lambda s: np.where(s == pick, bad, a - (s - a))
+    raise AssertionError(kind)
+
+
+_CONFIDENCE_KINDS = ("abs", "asymmetric", "nearly-symmetric", "floor", "shifted", "inf", "nan")
+_REFLECT_KINDS = ("mirror", "off-by-eps", "non-involutive", "moved-fixed-point", "identity", "onto-threshold", "inf", "nan")
+_TOLERANCES = ((1e-12, 1e-12), (1e-13, 0.0), (0.0, 1e-13), (5e-13, 5e-13))
+
+
+def spec_corpus(seed):
+    """One seeded (spec, grid, tolerances) case of the validator corpus."""
+    rng = np.random.default_rng(seed)
+    a = float(rng.choice([0.0, 0.5, -3.0]))
+    points = a + np.round(rng.uniform(-1.0, 1.0, int(rng.integers(1, 25))) * rng.choice([1.0, 4.0, 1e3]), 1)
+    if rng.random() < 0.1:
+        points = np.append(points, [-1e308, 1e308])
+    grid = np.sort(np.concatenate((points, [a], rng.choice(points, int(rng.integers(0, 4))))))
+    pick = float(rng.choice(grid))
+    eps = int(rng.integers(-12, 13)) * 1e-13  # both sides of a 1e-12 tolerance
+    conf_kind = _CONFIDENCE_KINDS[int(rng.integers(len(_CONFIDENCE_KINDS)))]
+    refl_kind = _REFLECT_KINDS[int(rng.integers(len(_REFLECT_KINDS)))]
+    spec = DecisionSpec(a, _corpus_confidence(conf_kind, a, pick, eps), _corpus_reflect(refl_kind, a, pick, eps))
+    rel_tol, abs_tol = _TOLERANCES[int(rng.integers(len(_TOLERANCES)))]
+    return spec, grid, rel_tol, abs_tol, (conf_kind, refl_kind)
+
+
+def _outcome(validate, spec, grid, **tolerances):
+    try:
+        return validate(spec, grid, **tolerances).violations
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestValidatorReference:
+    """The whole-grid validator matches the per-point loops it replaced."""
+
+    @staticmethod
+    def reference(spec, grid, **tolerances):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _outcome(loop_validate_decision_spec, spec, grid, **tolerances)
+
+    @staticmethod
+    def current(spec, grid, **tolerances):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _outcome(validate_decision_spec, spec, grid, **tolerances)
+
+    def test_matches_loops_on_seeded_corpus(self):
+        seen = set()
+        near = {"clean": 0, "flagged": 0}
+        for seed in range(520):
+            spec, grid, rel_tol, abs_tol, kinds = spec_corpus(seed)
+            expected = self.reference(spec, grid, rel_tol=rel_tol, abs_tol=abs_tol)
+            assert self.current(spec, grid, rel_tol=rel_tol, abs_tol=abs_tol) == expected, (seed, kinds)
+            seen.update(v.check for v in expected)
+            if kinds[1] == "off-by-eps":
+                near["flagged" if any(v.check == "involution" for v in expected) else "clean"] += 1
+        assert seen == {
+            "minimum-at-threshold", "bi-monotonic", "reflect-finite", "fixed-point",
+            "confidence-symmetry", "involution", "sign-flip",
+        }
+        assert near["clean"] > 0 and near["flagged"] > 0, near
+
+    @pytest.mark.parametrize("stretch", [1.0 + 1e-13, 2.0])
+    @pytest.mark.parametrize("grid", [[0.0], [-0.0, 0.0], [-1.0, 0.0, 1.0]])
+    @pytest.mark.parametrize(
+        "rel_tol,abs_tol", [(-1.0, 1e-12), (1e-12, -1.0), (0.0, 0.0), (np.nan, 1e-12), (np.inf, 0.0), (0.5, 0.0)]
+    )
+    def test_matches_loops_on_odd_tolerances(self, grid, rel_tol, abs_tol, stretch):
+        # negative tolerances raise only where a tolerance is used; with a
+        # stretch of 2, a relative tolerance of 0.5 passes confidence symmetry
+        # only when scaled by the larger of the two values, as math.isclose does
+        spec = DecisionSpec(0.0, np.abs, lambda s: -s * stretch)
+        expected = self.reference(spec, grid, rel_tol=rel_tol, abs_tol=abs_tol)
+        assert self.current(spec, grid, rel_tol=rel_tol, abs_tol=abs_tol) == expected
 
 
 class TestRankByConfidence:
@@ -311,7 +568,6 @@ class TestRankByConfidence:
 
 _VIEW_FIELDS = (
     "order",
-    "confidence",
     "correct",
     "weight",
     "cum_weight",
@@ -335,7 +591,6 @@ def lexsort_view(dataset, spec):
     breaks = np.nonzero(conf_r[1:] != conf_r[:-1])[0] + 1
     return {
         "order": order,
-        "confidence": conf_r,
         "correct": correct_r,
         "weight": weight,
         "cum_weight": np.cumsum(weight),
