@@ -60,13 +60,16 @@ class ExchangeMask:
     indices: np.ndarray
 
     def __init__(self, indices: Iterable[int] = ()):
+        is_array = isinstance(indices, np.ndarray)
         try:
-            raw = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+            items = indices if is_array else list(indices)
+            raw = np.asarray(items)
         except (TypeError, ValueError) as exc:
             raise InvalidMaskError(f"mask indices must be integers >= 0: {exc}") from None
         if raw.size == 0:
             raw = np.empty(0, dtype=np.int64)
-        if raw.dtype.kind == "b":
+        # booleans among integers make an integer array, reading True as position 1
+        if raw.dtype.kind == "b" or (not is_array and any(isinstance(i, (bool, np.bool_)) for i in items)):
             raise InvalidMaskError("mask indices must be integers >= 0, not booleans: pass np.flatnonzero(mask)")
         if raw.ndim != 1 or raw.dtype.kind not in "iuf":
             raise InvalidMaskError(f"mask indices must be integers >= 0, got {raw!r}")

@@ -261,11 +261,11 @@ class GeneratorConfig:
             raise ValueError(f"p is only meaningful for BIASED, got p={self.p!r} for {self.kind.value}")
 
 
-def generate(config: GeneratorConfig) -> Dataset:
-    """Draw a synthetic dataset for the canonical threshold at zero."""
+def _draw(config: GeneratorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new scores, labels and weights arrays that ``config`` fixes."""
     rng = np.random.default_rng(config.seed)
     scores = rng.uniform(-1.0, 1.0, config.n)
-    while np.any(scores == 0.0):
+    while (scores == 0.0).any():
         zeros = scores == 0.0
         scores[zeros] = rng.uniform(-1.0, 1.0, int(np.sum(zeros)))
 
@@ -284,7 +284,12 @@ def generate(config: GeneratorConfig) -> Dataset:
         weights = np.ones(config.n)
     else:
         weights = 2.0 * (1.0 - rng.random(config.n))
-    return Dataset(scores, labels, weights)
+    return scores, labels, weights
+
+
+def generate(config: GeneratorConfig) -> Dataset:
+    """Draw a synthetic dataset for the canonical threshold at zero."""
+    return Dataset(*_draw(config))
 
 
 @dataclass(frozen=True)
@@ -311,6 +316,54 @@ def _study_seed(base_seed: int, size_index: int, draw: int) -> int:
     return int(np.random.SeedSequence((base_seed, size_index, draw)).generate_state(1)[0])
 
 
+# Elements per block of the study's (seeds, size) matrices: the study's memory
+# stays bounded at any seed count, and a size above this runs one row a block
+_STUDY_BLOCK = 2**15
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is integral, as GeneratorConfig.n."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return whole
+
+
+def _study_deviations(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sup deviations of each row's dataset under the threshold spec at zero.
+
+    Row r of the boolean ``labels`` labels row r of ``scores``, with uniform
+    weights.  The sups are taken as the per-dataset curves of
+    :func:`convergence_study` give them: |G(i) - i/2| over the cumulative
+    curve's breakpoints, and |acc(i) - 1/2| over the rate curve's points at
+    i <= 0.1 and its first point.  With uniform weights every prefix sum is an
+    exact integer, so the order inside a tie group, which the canonical
+    suborder of :class:`RankedView` fixes, cannot change a bit.
+    """
+    rows, size = scores.shape
+    conf = np.abs(scores - 0.0)
+    order = (-conf).argsort(axis=1)
+    conf = np.take_along_axis(conf, order, axis=1)
+    correct = np.take_along_axis((scores > 0.0) == labels, order, axis=1)
+    ends = np.empty((rows, size), dtype=bool)  # the last sample of each tie group
+    ends[:, :-1] = conf[:, 1:] != conf[:, :-1]
+    ends[:, -1] = True
+
+    cw = np.arange(1.0, size + 1.0)
+    cc = correct.cumsum(axis=1, dtype=float)
+    total = float(size)
+    x = cw / total
+    # the origin's deviation is 0, which the zeros off the breakpoints stand for
+    cum = np.where(ends, np.abs(cc / total - x / 2.0), 0.0).max(axis=1)
+    head = ends & (x <= 0.1)
+    head[np.arange(rows), ends.argmax(axis=1)] = True  # the first decision always counts as "early"
+    rate = np.where(head, np.abs(cc / cw - 0.5), 0.0).max(axis=1)
+    return cum, rate
+
+
 def convergence_study(
     sizes,
     seeds: int,
@@ -323,9 +376,11 @@ def convergence_study(
     shrinks as size grows) and the mean sup |acc(i) - 1/2| over the first 10%
     of decision rates (this stays large: the first decision is always fully
     right or fully wrong).  The curves of each size's first draw are kept for
-    plotting.
+    plotting.  The draws are measured a block of seeds at a time, each block
+    holding about ``_STUDY_BLOCK`` scores.
     """
-    size_list = [int(s) for s in sizes]
+    size_list = [_whole_number(s, "sizes") for s in sizes]
+    seeds = _whole_number(seeds, "seeds")
     if not size_list:
         raise ValueError("sizes must be nonempty")
     if any(b <= a for a, b in zip(size_list, size_list[1:])):
@@ -340,20 +395,23 @@ def convergence_study(
     for size_index, size in enumerate(size_list):
         cum_devs = np.empty(seeds)
         rate_devs = np.empty(seeds)
-        first_curves: tuple[Curve, Curve] | None = None
-        for draw in range(seeds):
-            config = GeneratorConfig(
-                kind=GeneratorKind.RANDOM, n=size, seed=_study_seed(base_seed, size_index, draw)
+        block = min(seeds, max(1, _STUDY_BLOCK // size))
+        scores = np.empty((block, size))
+        labels = np.empty((block, size), dtype=bool)
+        for start in range(0, seeds, block):
+            stop = min(start + block, seeds)
+            for row, draw in enumerate(range(start, stop)):
+                config = GeneratorConfig(
+                    kind=GeneratorKind.RANDOM, n=size, seed=_study_seed(base_seed, size_index, draw)
+                )
+                drawn = _draw(config)
+                scores[row], labels[row], _ = drawn
+                if draw == 0:
+                    view = rank_by_confidence(Dataset(*drawn), spec)
+                    first_curves = (_cumulative_accuracy_curve(view), _accuracy_rate_curve(view))
+            cum_devs[start:stop], rate_devs[start:stop] = _study_deviations(
+                scores[: stop - start], labels[: stop - start]
             )
-            view = rank_by_confidence(generate(config), spec)
-            cum = _cumulative_accuracy_curve(view)
-            rate = _accuracy_rate_curve(view)
-            cum_devs[draw] = float(np.max(np.abs(cum.y - cum.x / 2.0)))
-            head = rate.x <= 0.1
-            head[0] = True  # the first decision always counts as "early"
-            rate_devs[draw] = float(np.max(np.abs(rate.y[head] - 0.5)))
-            if first_curves is None:
-                first_curves = (cum, rate)
         rows.append(
             StudySizeResult(
                 size=size,
@@ -363,4 +421,4 @@ def convergence_study(
                 rate_curve=first_curves[1],
             )
         )
-    return StudyResult(rows=tuple(rows), seeds=int(seeds))
+    return StudyResult(rows=tuple(rows), seeds=seeds)

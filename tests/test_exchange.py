@@ -108,6 +108,23 @@ class TestExchangeSubset:
             exchange_subset(d0, mask, spec0)
         assert exchange_subset(d0, np.flatnonzero(mask), spec0) == exchange_subset(d0, [0, 2], spec0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [True, 2], lambda: [np.True_, 3], lambda: (i for i in (False, 5))],
+        ids=["bool", "np_bool", "generator"],
+    )
+    def test_boolean_among_integers_rejected(self, d0, spec0, make):
+        # numpy makes these integer arrays, where True would be position 1
+        with pytest.raises(InvalidMaskError, match="flatnonzero"):
+            ExchangeMask(make())
+        with pytest.raises(InvalidMaskError, match="flatnonzero"):
+            exchange_subset(d0, make(), spec0)
+
+    def test_integer_lists_and_arrays_unchanged_by_boolean_check(self):
+        for given in ([1, 2], [np.int64(1), 2], np.array([2, 1]), np.array([1, 2], dtype=np.uint8), (1, 2.0)):
+            mask = ExchangeMask(given)
+            assert mask.as_tuple() == (1, 2) and mask.indices.dtype == np.int64
+
     def test_mask_is_a_sorted_unique_index_array(self):
         for given in ([2, 0, 2], range(0, 3, 2), (i for i in (2, 0)), np.array([2, 0]), [2.0, 0]):
             mask = ExchangeMask(given)

@@ -23,7 +23,10 @@ from lxcim import (
     verify_doubling_identity,
 )
 
-from lxcim.verify import _area_left_of
+from lxcim.metrics import _accuracy_rate_curve, _cumulative_accuracy_curve
+from lxcim.model import make_abs_spec, rank_by_confidence
+import lxcim.verify as verify
+from lxcim.verify import StudyResult, StudySizeResult, _area_left_of, _draw, _study_deviations, _study_seed
 
 from conftest import random_dataset
 
@@ -229,6 +232,120 @@ class TestConvergenceStudy:
             convergence_study([10, 10], seeds=3)
         with pytest.raises(ValueError):
             convergence_study([10, 100], seeds=0)
+        for sizes, seeds in (([8.7, 32], 2), ([True, 3], 2), ([np.True_, 3], 2), ([8, "32"], 2),
+                             ([8, 32], 2.5), ([8, 32], True), ([8, 32], None), ([8, float("nan")], 2)):
+            with pytest.raises(ValueError, match="integral"):
+                convergence_study(sizes, seeds=seeds)
+
+
+def loop_sup_deviations(cum, rate) -> tuple[float, float]:
+    """The study's two sup deviations, read off one dataset's curves."""
+    head = rate.x <= 0.1
+    head[0] = True  # the first decision always counts as "early"
+    return float(np.max(np.abs(cum.y - cum.x / 2.0))), float(np.max(np.abs(rate.y[head] - 0.5)))
+
+
+def loop_convergence_study(sizes, seeds: int, base_seed: int = 0) -> StudyResult:
+    """The study as one Dataset, ranking and pair of curves per draw: the reference."""
+    spec = make_abs_spec(0.0)
+    rows = []
+    for size_index, size in enumerate(sizes):
+        cum_devs = np.empty(seeds)
+        rate_devs = np.empty(seeds)
+        first_curves = None
+        for draw in range(seeds):
+            config = GeneratorConfig(
+                kind=GeneratorKind.RANDOM, n=size, seed=_study_seed(base_seed, size_index, draw)
+            )
+            view = rank_by_confidence(generate(config), spec)
+            cum = _cumulative_accuracy_curve(view)
+            rate = _accuracy_rate_curve(view)
+            cum_devs[draw], rate_devs[draw] = loop_sup_deviations(cum, rate)
+            if first_curves is None:
+                first_curves = (cum, rate)
+        rows.append(
+            StudySizeResult(
+                size=size,
+                mean_sup_cum_deviation=float(np.mean(cum_devs)),
+                mean_sup_rate_deviation=float(np.mean(rate_devs)),
+                cumulative_curve=first_curves[0],
+                rate_curve=first_curves[1],
+            )
+        )
+    return StudyResult(rows=tuple(rows), seeds=seeds)
+
+
+def study_fields(result: StudyResult) -> list:
+    """Every field of a study result, floats as hex and curves as bytes."""
+    fields = [result.seeds]
+    for row in result.rows:
+        fields += [row.size, row.mean_sup_cum_deviation.hex(), row.mean_sup_rate_deviation.hex()]
+        for curve in (row.cumulative_curve, row.rate_curve):
+            fields += [curve.kind, curve.x.dtype, curve.x.tobytes(), curve.y.dtype, curve.y.tobytes()]
+    return fields
+
+
+class TestStudyReference:
+    SIZES = (1, 2, 3, 8, 512, 513)
+
+    @pytest.mark.parametrize("seeds", [1, 2, 37])
+    @pytest.mark.parametrize("block", [None, 64], ids=["default_block", "block_64"])
+    def test_matches_loop_bit_for_bit(self, monkeypatch, seeds, block):
+        if block is not None:  # sizes then span several blocks, and 513 runs one row a block
+            monkeypatch.setattr(verify, "_STUDY_BLOCK", block)
+        for base_seed in range(5):
+            expected = study_fields(loop_convergence_study(self.SIZES, seeds, base_seed))
+            assert study_fields(convergence_study(self.SIZES, seeds, base_seed)) == expected
+
+    # rows of 8 scores with tied confidences, and their labels
+    TIED = [
+        ([0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5], [1, 1, 0, 0, 1, 1, 0, 0]),
+        ([0.5, -0.5, 0.5, -0.5, 0.25, -0.25, 0.9, 0.1], [1, 1, 0, 0, 1, 0, 0, 1]),
+        ([-0.3, 0.3, -0.3, 0.3, -0.3, 0.3, -0.3, 0.3], [0, 0, 1, 1, 0, 1, 1, 0]),
+        ([0.5, 0.5, -0.5, 0.2, -0.2, 0.2, 0.7, -0.7], [1, 1, 0, 1, 0, 1, 1, 0]),  # all right
+        ([0.5, 0.5, -0.5, 0.2, -0.2, 0.2, 0.7, -0.7], [0, 0, 1, 0, 1, 0, 0, 1]),  # all wrong
+        ([0.05, -0.05, 0.6, -0.6, 0.6, 0.01, -0.9, 0.9], [0, 1, 1, 0, 0, 1, 1, 1]),
+    ]
+
+    @staticmethod
+    def deviations_as_curves_give(scores, labels):
+        """``_study_deviations`` of the rows, checked against each row's own curves."""
+        cum, rate = _study_deviations(scores, labels == 1)
+        spec = make_abs_spec(0.0)
+        for r in range(len(scores)):
+            view = rank_by_confidence(Dataset(scores[r], labels[r]), spec)
+            expected = loop_sup_deviations(_cumulative_accuracy_curve(view), _accuracy_rate_curve(view))
+            assert (cum[r].hex(), rate[r].hex()) == (expected[0].hex(), expected[1].hex())
+        return cum, rate
+
+    def test_deviations_match_curves_on_tied_rows(self):
+        scores = np.array([row for row, _ in self.TIED])
+        labels = np.array([row for _, row in self.TIED])
+        cum, rate = self.deviations_as_curves_give(scores, labels)
+        # one tie group, half right: its inner positions would read 0.0625 and 0.5
+        assert (cum[0], rate[0], cum[2], rate[2]) == (0.0, 0.0, 0.0, 0.0)
+        assert (cum[3], rate[3], cum[4], rate[4]) == (0.5, 0.5, 0.5, 0.5)
+
+    def test_head_ends_at_a_tenth_inclusive(self):
+        # a tied half-right pair, then two right decisions: the second lands on i = 4/40 = 0.1
+        scores = np.concatenate(([0.9, -0.9, 0.8, 0.7], np.linspace(0.1, 0.5, 36)))
+        labels = np.concatenate(([1, 1, 1, 1], np.arange(36) % 2))
+        _, rate = self.deviations_as_curves_give(scores[None, :], labels[None, :])
+        assert rate[0] == 0.25
+
+    def test_deviations_match_curves_on_drawn_rows_of_any_width(self):
+        for size in (1, 2, 9, 100):
+            drawn = [_draw(GeneratorConfig(kind=GeneratorKind.RANDOM, n=size, seed=s)) for s in range(6)]
+            self.deviations_as_curves_give(np.array([d[0] for d in drawn]), np.array([d[1] for d in drawn]))
+
+    @pytest.mark.parametrize("kind", list(GeneratorKind))
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_generate_wraps_the_draw(self, kind, mode):
+        config = GeneratorConfig(kind=kind, n=40, seed=5, p=0.6 if kind is GeneratorKind.BIASED else None,
+                                 weight_mode=mode)
+        data = generate(config)
+        for got, want in zip((data.scores, data.labels, data.weights), _draw(config)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRateCurveHead:
