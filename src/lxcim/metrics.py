@@ -168,16 +168,39 @@ def _accuracy(view: RankedView) -> float:
 
 
 def _score_sweep(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Cumulative true/false positive weights per distinct score, descending."""
+    """Cumulative true/false positive weights per distinct score, descending, 0-led."""
     _require_nonempty(dataset)
-    unique_scores, inverse = np.unique(dataset.scores, return_inverse=True)
-    w = dataset.weights
-    y = dataset.labels
-    pos_per_score = np.bincount(inverse, weights=w * y, minlength=len(unique_scores))
-    neg_per_score = np.bincount(inverse, weights=w * (1 - y), minlength=len(unique_scores))
-    # np.unique sorts ascending; the sweep admits high scores first
-    tp = pos_per_score[::-1].cumsum()
-    fp = neg_per_score[::-1].cumsum()
+    key = np.negative(dataset.scores)
+    return _sweep(key, dataset.labels == 0, dataset.weights, np.empty_like(key))
+
+
+def _sweep(
+    key: np.ndarray, negative: np.ndarray, weights: np.ndarray, workspace: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The score sweep over rows with negated scores ``key``, class flags ``negative`` and weights.
+
+    ``key`` and ``workspace`` are new contiguous float64 arrays, one element
+    per row, and are overwritten: ``key`` ends up holding each row's (score
+    group, class) bin.  Each bin sums its weights in input order.
+    """
+    order = key.argsort()
+    # mode="clip" gathers straight into ``out``; the default mode buffers a copy
+    ranked = np.take(key, order, out=workspace, mode="clip")
+    starts = np.empty(len(key), dtype=bool)
+    starts[0] = False
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    bins = np.cumsum(starts, out=workspace.view(np.int64))  # group ids in key order
+    groups = int(bins[-1]) + 1
+    bins *= 2
+    bins += np.take(negative, order, out=starts, mode="clip")
+    in_input_order = key.view(np.int64)
+    in_input_order[order] = bins
+    del order
+    per_bin = np.bincount(in_input_order, weights=weights, minlength=2 * groups)
+    cumulative = np.empty((2, groups + 1))
+    cumulative[:, 0] = 0.0
+    np.cumsum(per_bin.reshape(groups, 2).T, axis=1, out=cumulative[:, 1:])
+    tp, fp = cumulative
     pos_total = float(tp[-1])
     neg_total = float(fp[-1])
     if pos_total == 0.0 or neg_total == 0.0:
@@ -196,9 +219,7 @@ def roc_curve(dataset: Dataset) -> Curve:
 
 def _roc_curve(sweep) -> Curve:
     tp, fp, pos_total, neg_total = sweep
-    x = np.concatenate(([0.0], fp / neg_total))
-    y = np.concatenate(([0.0], tp / pos_total))
-    return Curve(kind=CurveKind.ROC, x=x, y=y)
+    return Curve(kind=CurveKind.ROC, x=fp / neg_total, y=tp / pos_total)
 
 
 def auroc(dataset: Dataset) -> float:
@@ -212,9 +233,7 @@ def auroc(dataset: Dataset) -> float:
 
 def _auroc(sweep) -> float:
     tp, fp, pos_total, neg_total = sweep
-    tp_prev = np.concatenate((_ZERO, tp[:-1]))
-    fp_prev = np.concatenate((_ZERO, fp[:-1]))
-    raw_area = float(((fp - fp_prev) * (tp + tp_prev)).sum()) / 2.0
+    raw_area = float(((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1])).sum()) / 2.0
     return raw_area / (pos_total * neg_total)
 
 

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from lxcim import Dataset, make_abs_spec
+from lxcim import Dataset, SingleClassError, make_abs_spec
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +67,22 @@ def random_dataset(rng: np.random.Generator, n: int, *, weighted: bool = True) -
     labels = rng.integers(0, 2, n)
     weights = rng.uniform(0.05, 2.0, n) if weighted else None
     return Dataset(scores, labels, weights)
+
+
+def unique_score_sweep(dataset: Dataset):
+    """The score sweep as ``np.unique`` and one ``bincount`` per class give it, 0-led.
+
+    The reference for ``lxcim.metrics._sweep``: each class's weight per
+    distinct score, summed in input order, then prefix sums from the highest
+    score down.
+    """
+    unique_scores, inverse = np.unique(dataset.scores, return_inverse=True)
+    w, y = dataset.weights, dataset.labels
+    pos_per_score = np.bincount(inverse, weights=w * y, minlength=len(unique_scores))
+    neg_per_score = np.bincount(inverse, weights=w * (1 - y), minlength=len(unique_scores))
+    tp = np.concatenate(([0.0], pos_per_score[::-1].cumsum()))
+    fp = np.concatenate(([0.0], neg_per_score[::-1].cumsum()))
+    pos_total, neg_total = float(tp[-1]), float(fp[-1])
+    if pos_total == 0.0 or neg_total == 0.0:
+        raise SingleClassError("ROC requires positive weight in both classes")
+    return tp, fp, pos_total, neg_total

@@ -26,7 +26,7 @@ from lxcim import (
 )
 from lxcim.cli import main
 
-from conftest import random_dataset
+from conftest import random_dataset, unique_score_sweep
 
 
 class TestConfusionMatrix:
@@ -369,3 +369,48 @@ class TestRankOnce:
         assert self.sizes(rank_calls) == [4]
         verify_crossing_point(d0, spec0)
         assert self.sizes(rank_calls) == [4, 4]
+
+
+class TestSweepReference:
+    """``_sweep`` against the ``np.unique`` sweep it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same_sweep(dataset):
+        got = metrics_module._score_sweep(dataset)
+        want = unique_score_sweep(dataset)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert [float(v).hex() for v in got[2:]] == [float(v).hex() for v in want[2:]]
+
+    def test_one_score_group(self):
+        self.assert_same_sweep(Dataset([0.5] * 5, [1, 0, 1, 0, 1], [0.3, 1.7, 0.1, 2.0, 0.9]))
+
+    def test_all_distinct_scores(self):
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 50, 1000):
+            self.assert_same_sweep(random_dataset(rng, n))
+
+    def test_signed_zeros_share_a_group(self):
+        d = Dataset([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], [1, 0, 0, 1, 1, 0], [0.5, 1.5, 2.5, 0.25, 1.0, 3.0])
+        self.assert_same_sweep(d)
+        assert len(metrics_module._score_sweep(d)[0]) == 4  # the origin and three score groups
+
+    def test_tied_weighted_data(self):
+        rng = np.random.default_rng(62)
+        for k in range(60):
+            n = int(rng.integers(2, 400))
+            scores = np.round(rng.uniform(-1.0, 1.0, n), int(rng.integers(0, 3)))
+            labels = rng.integers(0, 2, n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            weights = rng.uniform(0.05, 8.0, n) if k % 2 else np.round(rng.uniform(1, 8, n))
+            self.assert_same_sweep(Dataset(scores, labels, weights))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_raises(self, label):
+        d = Dataset([0.5, -0.5, 0.5, 2.0], [label] * 4, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(SingleClassError) as want:
+            unique_score_sweep(d)
+        with pytest.raises(SingleClassError) as got:
+            metrics_module._score_sweep(d)
+        assert str(got.value) == str(want.value)

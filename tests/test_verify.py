@@ -1,8 +1,14 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
 from lxcim import (
     Dataset,
+    DecisionSpec,
+    EmptyDatasetError,
+    NonFiniteMapError,
     GeneratorConfig,
     GeneratorKind,
     SingleClassError,
@@ -28,7 +34,7 @@ from lxcim.model import make_abs_spec, rank_by_confidence
 import lxcim.verify as verify
 from lxcim.verify import StudyResult, StudySizeResult, _area_left_of, _draw, _study_deviations, _study_seed
 
-from conftest import random_dataset
+from conftest import random_dataset, unique_score_sweep
 
 
 class TestBruteAuroc:
@@ -193,6 +199,9 @@ class TestGenerate:
             dict(kind=GeneratorKind.BIASED, n=5, seed=0, p=1.5),
             dict(kind=GeneratorKind.RANDOM, n=5, seed=0, p=0.5),
             dict(kind="random", n=5, seed=0),
+            dict(kind=GeneratorKind.RANDOM, n=True, seed=0),
+            dict(kind=GeneratorKind.RANDOM, n=5, seed=2.5),
+            dict(kind=GeneratorKind.RANDOM, n=5, seed=True),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -357,3 +366,178 @@ class TestRateCurveHead:
     def test_audrc_defined_on_generated_data(self, spec0):
         d = generate(GeneratorConfig(kind=GeneratorKind.RANDOM, n=500, seed=77))
         assert 0.0 <= audrc(d, spec0) <= 1.0
+
+
+def sequential_rank_and_sweep_doubled(dataset, spec):
+    """The verifiers' ranking and duplicate sweep done one after the other, as first written.
+
+    The reference for ``verify._rank_and_sweep_doubled``: the duplicate is
+    built as a ``Dataset``, swept with ``np.unique`` and one ``bincount`` per
+    class, and only then is the original ranked.
+    """
+    sweep = unique_score_sweep(duplicate_dataset(dataset, spec))
+    return rank_by_confidence(dataset, spec), sweep
+
+
+def verifier_fields(dataset, spec):
+    """Every field of both verifiers' reports as exact text, or the error each raised."""
+    fields = []
+    for verifier in (verify_doubling_identity, verify_crossing_point):
+        try:
+            rep = verifier(dataset, spec)
+        except Exception as exc:
+            fields.append((type(exc), str(exc)))
+            continue
+        for value in dataclasses.astuple(rep):
+            fields.append(tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex())
+    return fields
+
+
+def reference_fields(monkeypatch, dataset, spec):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_rank_and_sweep_doubled", sequential_rank_and_sweep_doubled)
+        return verifier_fields(dataset, spec)
+
+
+@pytest.fixture(params=["sequential", "helper"])
+def verify_path(request, monkeypatch):
+    """Run the verifiers with the duplicate swept in sequence, or on a helper thread at any size."""
+    if request.param == "helper":
+        monkeypatch.setattr(verify, "_HELPER_MIN_N", 1)
+        monkeypatch.setattr(verify, "_two_cpus", lambda: True)
+    else:
+        monkeypatch.setattr(verify, "_HELPER_MIN_N", 2**62)
+    return request.param
+
+
+def tied_weighted_corpus(seed, count):
+    """Seeded tied, weighted datasets; some put rows at s* = 0, some give it signed zeros."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 300))
+        scores = np.round(rng.uniform(-2.0, 2.0, n), int(rng.integers(0, 3)))
+        if k % 3 == 1:
+            scores[rng.random(n) < 0.2] = 0.0
+        if k % 3 == 2:
+            scores[rng.random(n) < 0.3] = -0.0
+        weights = rng.uniform(0.05, 8.0, n) if k % 2 else np.round(rng.uniform(1.0, 8.0, n))
+        yield Dataset(scores, rng.integers(0, 2, n), weights)
+
+
+class TestVerifierReference:
+    """Both verifiers against the sequential ``np.unique`` body, every field as ``float.hex``."""
+
+    def test_tied_weighted_and_at_threshold(self, monkeypatch, verify_path, spec0):
+        for d in tied_weighted_corpus(71, 80):
+            assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
+
+    def test_probabilities_about_one_half(self, monkeypatch, verify_path):
+        spec = make_abs_spec(0.5)
+        rng = np.random.default_rng(72)
+        for k in range(40):
+            n = int(rng.integers(1, 300))
+            p = np.round(rng.random(n), 1 + k % 3)
+            p[rng.random(n) < 0.1] = 0.5
+            d = Dataset(p, rng.integers(0, 2, n), rng.uniform(0.05, 8.0, n))
+            assert verifier_fields(d, spec) == reference_fields(monkeypatch, d, spec)
+
+    def test_signed_zeros_and_one_class(self, monkeypatch, verify_path, spec0):
+        for d in (
+            Dataset([0.0, -0.0, 0.5, -0.5, -0.0], [1, 0, 1, 1, 0], [1.0, 2.0, 0.5, 0.25, 3.0]),
+            Dataset([-0.0, 0.0], [1, 1]),  # every row keeps its class: no negative weight
+            Dataset([0.75], [0]),
+        ):
+            assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
+
+    def test_rows_at_the_threshold_keep_their_score(self, monkeypatch, verify_path):
+        # the reflection sends s* elsewhere; the duplicate keeps such rows as they are all the same
+        spec = DecisionSpec(0.5, lambda s: np.abs(s - 0.5), lambda s: np.where(s == 0.5, 0.75, 1.0 - s))
+        d = Dataset([0.5, 0.9, 0.5, 0.2, 0.75], [1, 0, 0, 1, 1], [2.0, 1.0, 0.5, 1.5, 1.0])
+        assert verifier_fields(d, spec) == reference_fields(monkeypatch, d, spec)
+
+    def test_above_the_helper_size_by_default(self, monkeypatch, spec0):
+        monkeypatch.setattr(verify, "_two_cpus", lambda: True)
+        rng = np.random.default_rng(73)
+        n = verify._HELPER_MIN_N + 5
+        d = Dataset(np.round(rng.uniform(-1.0, 1.0, n), 2), rng.integers(0, 2, n), rng.uniform(0.05, 2.0, n))
+        assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
+
+
+def _no_nan(s):
+    return np.where(s > 10.0, np.inf, -s)
+
+
+class TestHelperThread:
+    def test_user_maps_run_on_the_calling_thread(self, monkeypatch, verify_path):
+        seen, sweeps = set(), set()
+
+        def confidence(s):
+            seen.add(threading.get_ident())
+            return np.abs(s)
+
+        def reflect(s):
+            seen.add(threading.get_ident())
+            return -s
+
+        sweep = verify._sweep
+
+        def recording_sweep(*args):
+            sweeps.add(threading.get_ident())
+            return sweep(*args)
+
+        monkeypatch.setattr(verify, "_sweep", recording_sweep)
+        spec = DecisionSpec(0.0, confidence, reflect)
+        for d in tied_weighted_corpus(74, 10):
+            verify_doubling_identity(d, spec)
+            verify_crossing_point(d, spec)
+        caller = threading.get_ident()
+        assert seen == {caller}
+        assert (caller in sweeps) == (verify_path == "sequential") and len(sweeps) >= 1
+
+    @pytest.mark.parametrize(
+        "data, spec",
+        [
+            (Dataset([], []), make_abs_spec(0.0)),
+            # the reflection overflows: raised before the sweep starts
+            (Dataset([0.5, 20.0, -1.0], [1, 0, 1]), DecisionSpec(0.0, np.abs, _no_nan)),
+            # the sweep succeeds and the ranking raises
+            (Dataset([0.5, 0.75, -1.0], [1, 0, 1]),
+             DecisionSpec(0.0, lambda s: np.where(s > 0.6, np.nan, np.abs(s)), np.negative)),
+            # both raise, and the sweep's error comes first
+            (Dataset([0.0, 0.0, 0.0], [1, 1, 1]),
+             DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative)),
+        ],
+        ids=["empty", "reflection_overflows", "confidence_nan", "sweep_error_first"],
+    )
+    def test_errors_match_the_reference(self, monkeypatch, verify_path, data, spec):
+        threads = threading.active_count()
+        expected = reference_fields(monkeypatch, data, spec)
+        assert all(isinstance(f, tuple) and issubclass(f[0], Exception) for f in expected)
+        assert verifier_fields(data, spec) == expected
+        assert threading.active_count() == threads  # every helper was joined
+
+    def test_reference_errors_are_the_documented_ones(self):
+        cases = [
+            (Dataset([], []), make_abs_spec(0.0), EmptyDatasetError, "cannot duplicate an empty dataset"),
+            (Dataset([0.5, 20.0], [1, 0]), DecisionSpec(0.0, np.abs, _no_nan),
+             NonFiniteMapError, "scores must all be finite"),
+            (Dataset([0.0, 0.0], [1, 1]), DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative),
+             SingleClassError, "ROC requires positive weight in both classes"),
+        ]
+        for data, spec, error, text in cases:
+            with pytest.raises(error, match=text):
+                verify_doubling_identity(data, spec)
+
+    @pytest.mark.filterwarnings("error")
+    def test_helper_runs_under_the_callers_error_state(self, monkeypatch, spec0):
+        # every prefix sum of these weights overflows, on both threads
+        d = Dataset([0.5, -0.25, 0.75, -1.0, 0.125], [1, 0, 0, 1, 1], [1e308] * 5)
+        sweeps = {}
+        for path, size in (("sequential", 2**62), ("helper", 1)):
+            monkeypatch.setattr(verify, "_HELPER_MIN_N", size)
+            monkeypatch.setattr(verify, "_two_cpus", lambda: True)
+            with np.errstate(over="ignore"):
+                _, sweeps[path] = verify._rank_and_sweep_doubled(d, spec0)
+        assert np.isinf(sweeps["helper"][0][-1])
+        for a, b in zip(sweeps["sequential"], sweeps["helper"]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
