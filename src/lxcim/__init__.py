@@ -5,8 +5,9 @@ class it favours: it is twice the area under the cumulative accuracy curve of
 the decision-confidence sweep, and it is invariant when any subset of samples
 has its class exchanged across the decision threshold.  The package also
 provides AUDRC (confidence-weighted running accuracy), classic weighted
-accuracy and AUROC, the exchange transform and dataset duplication, brute
-force oracles, invariance checkers, synthetic generators, and file ingestion.
+accuracy and AUROC, the exchange transform and dataset duplication, a
+brute-force AUROC oracle, invariance checkers, synthetic generators, and file
+ingestion.
 """
 
 from .errors import (
@@ -71,7 +72,6 @@ from .verify import (
     StudySizeResult,
     WeightMode,
     brute_auroc,
-    brute_lxcim,
     convergence_study,
     generate,
     verify_crossing_point,
@@ -127,7 +127,6 @@ __all__ = [
     "StudySizeResult",
     "StudyResult",
     "brute_auroc",
-    "brute_lxcim",
     "verify_doubling_identity",
     "verify_crossing_point",
     "generate",

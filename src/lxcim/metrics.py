@@ -24,11 +24,12 @@ of one :class:`RankedView`; the public functions rank, then call them.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDatasetError, SingleClassError
+from .errors import EmptyDatasetError, LxcimError, SingleClassError
 from .model import Dataset, DecisionSpec, RankedView, rank_by_confidence
 
 __all__ = [
@@ -234,7 +235,18 @@ def auroc(dataset: Dataset) -> float:
 def _auroc(sweep) -> float:
     tp, fp, pos_total, neg_total = sweep
     raw_area = float(((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1])).sum()) / 2.0
-    return raw_area / (pos_total * neg_total)
+    return raw_area / _normal_product(pos_total, neg_total)
+
+
+def _normal_product(a: float, b: float) -> float:
+    """``a * b`` for two weight totals, or LxcimError if it is below the normal floats.
+
+    There the area, a sum of such products, loses its precision, or the division fails.
+    """
+    product = float(a * b)
+    if product < sys.float_info.min:
+        raise LxcimError("the weights underflow float arithmetic")
+    return product
 
 
 def _group_boundaries(view: RankedView) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +290,7 @@ def _lxcim(view: RankedView) -> float:
     total = view.cum_weight[-1]
     doubled_area = float(((cw[1:] - cw[:-1]) * (cc[1:] + cc[:-1])).sum())
     # rounding can land one ulp above a perfect score
-    return min(doubled_area / float(total * total), 1.0)
+    return min(doubled_area / _normal_product(total, total), 1.0)
 
 
 def accuracy_rate_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:

@@ -330,10 +330,6 @@ class RankedView:
     cum_correct_weight: np.ndarray
     group_ends: np.ndarray
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.cum_weight[-1])
-
 
 # From this many samples on, sorting by weight first and then radix-sorting the
 # narrow keys beats one lexsort over a float key (crossover near 200 on a

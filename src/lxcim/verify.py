@@ -1,11 +1,9 @@
-"""Independent oracles, identity verifiers, and synthetic data generators.
+"""An independent AUROC oracle, identity verifiers, and synthetic data generators.
 
-The brute-force routines deliberately avoid the production code paths:
-``brute_auroc`` enumerates weighted sample pairs instead of sweeping
-thresholds, and ``brute_lxcim`` integrates the cumulative accuracy curve by
-dense midpoint quadrature instead of the segment closed form.  The identity
-verifiers exercise the duplication construction: duplicating a dataset with
-its full class exchange yields a weight-balanced set whose ROC crosses the
+``brute_auroc`` deliberately avoids the production code path: it enumerates
+weighted sample pairs instead of sweeping thresholds.  The identity verifiers
+exercise the duplication construction: duplicating a dataset with its full
+class exchange yields a weight-balanced set whose ROC crosses the
 anti-diagonal at (1 - ACC, ACC) and whose AUROC equals both the original
 LxCIM and ACC^2 + 2H, H being the ROC area left of the crossing.
 """
@@ -13,7 +11,7 @@ LxCIM and ACC^2 + 2H, H being the ROC area left of the crossing.
 from __future__ import annotations
 
 import enum
-import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -42,7 +40,6 @@ __all__ = [
     "StudySizeResult",
     "StudyResult",
     "brute_auroc",
-    "brute_lxcim",
     "verify_doubling_identity",
     "verify_crossing_point",
     "generate",
@@ -66,37 +63,6 @@ def brute_auroc(dataset: Dataset) -> float:
     credit = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
     pair_weight = pos_w[:, None] * neg_w[None, :]
     return float(np.sum(credit * pair_weight) / (np.sum(pos_w) * np.sum(neg_w)))
-
-
-def brute_lxcim(dataset: Dataset, spec: DecisionSpec, subdivisions: int = 200_000) -> float:
-    """LxCIM by midpoint quadrature of the cumulative accuracy curve.
-
-    Self-contained: sorts by confidence itself, merges equal-confidence runs
-    into averaged knots, and evaluates the curve pointwise with np.interp.
-    Accuracy is limited by the grid (error well under 1e-6 at the default
-    2e5 subdivisions for datasets of a few hundred samples).
-    """
-    if len(dataset) == 0:
-        raise EmptyDatasetError("metric requested on an empty dataset")
-    if subdivisions < 1:
-        raise ValueError("subdivisions must be >= 1")
-    conf = spec.confidence_at(dataset.scores)
-    order = np.argsort(-conf, kind="stable")
-    conf_sorted = conf[order]
-    weights = dataset.weights[order]
-    correct = (dataset.scores[order] > spec.s_star) == dataset.labels[order].astype(bool)
-
-    run_breaks = np.nonzero(conf_sorted[1:] != conf_sorted[:-1])[0] + 1
-    run_ends = np.concatenate((run_breaks, [len(conf_sorted)])) - 1
-    cum_w = np.cumsum(weights)
-    cum_good = np.cumsum(weights * correct)
-    total = cum_w[-1]
-    knots_x = np.concatenate(([0.0], cum_w[run_ends] / total))
-    knots_y = np.concatenate(([0.0], cum_good[run_ends] / total))
-
-    mids = (np.arange(subdivisions) + 0.5) / subdivisions
-    g_values = np.interp(mids, knots_x, knots_y)
-    return float(2.0 * np.mean(g_values))
 
 
 def _area_left_of(curve: Curve, x_stop: float) -> float:
@@ -310,7 +276,12 @@ class GeneratorConfig:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if self.kind is GeneratorKind.BIASED:
-            if self.p is None or not (0.0 <= float(self.p) <= 1.0):
+            # a boolean or a text is no probability, though float() reads both
+            if (
+                isinstance(self.p, (bool, np.bool_))
+                or not isinstance(self.p, numbers.Real)
+                or not (0.0 <= self.p <= 1.0)
+            ):
                 raise ValueError(f"BIASED requires p in [0, 1], got {self.p!r}")
             object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:

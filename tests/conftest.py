@@ -86,3 +86,17 @@ def unique_score_sweep(dataset: Dataset):
     if pos_total == 0.0 or neg_total == 0.0:
         raise SingleClassError("ROC requires positive weight in both classes")
     return tp, fp, pos_total, neg_total
+
+
+def underflowing_datasets():
+    """Data whose squared total weight, and product of class totals, fall below the normal floats.
+
+    Four weights of 1e-170, and 50 random rows with weights in [0.5, 2]
+    scaled by 2^-540.  Every weight and every sum of weights is a normal float.
+    """
+    rng = np.random.default_rng(540)
+    scaled = np.ldexp(rng.uniform(0.5, 2.0, 50), -540)
+    return {
+        "four-1e-170": Dataset([0.5, -0.5, 0.2, -0.3], [1, 0, 0, 1], [1e-170] * 4),
+        "scaled-2^-540": Dataset(rng.uniform(-1.0, 1.0, 50), rng.integers(0, 2, 50), scaled),
+    }

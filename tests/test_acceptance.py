@@ -23,7 +23,6 @@ from lxcim import (
     audrc,
     auroc,
     brute_auroc,
-    brute_lxcim,
     check_categorical_lxc_invariance,
     check_rank_lxc_invariance,
     convergence_study,
@@ -41,6 +40,8 @@ from lxcim import (
 )
 from lxcim.cli import main
 from lxcim.errors import SingleClassError
+
+import exact
 
 _MODULE_T0 = time.perf_counter()
 
@@ -138,13 +139,13 @@ def test_criterion_05_oracle_equivalence(corpus):
         )
         worst_auroc = max(worst_auroc, abs(auroc(dataset) - brute_auroc(dataset)))
     worst_lxcim = max(
-        abs(lxcim(dataset, SPEC0) - brute_lxcim(dataset, SPEC0)) for dataset in corpus
+        abs(lxcim(dataset, SPEC0) - float(exact.lxcim(exact.samples(dataset)))) for dataset in corpus
     )
     elapsed = time.perf_counter() - t0
     _verdict(
         5,
-        worst_auroc <= 1e-12 and worst_lxcim <= 1e-6 and elapsed < 30.0,
-        f"auroc vs pairwise {worst_auroc:.3e}, lxcim vs quadrature {worst_lxcim:.3e}, "
+        worst_auroc <= 1e-12 and worst_lxcim <= 1e-12 and elapsed < 30.0,
+        f"auroc vs pairwise {worst_auroc:.3e}, lxcim vs exact {worst_lxcim:.3e}, "
         f"{elapsed:.1f}s",
     )
 

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import lxcim
-from lxcim import Dataset, ingest
+from lxcim import Dataset, ingest, write_prediction_file
 from lxcim.cli import main
+
+from conftest import underflowing_datasets
 
 
 @pytest.fixture()
@@ -386,6 +388,20 @@ class TestNonFiniteMap:
         assert "overflows at this threshold" in captured.err
         assert "RuntimeWarning" not in captured.err and "usage:" not in captured.err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestUnderflowingWeights:
+    """Weights whose squared total underflows are a data error, exit 3."""
+
+    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
+    @pytest.mark.parametrize("command", [["eval"], ["check", "--metric", "lxcim"]], ids=["eval", "check"])
+    def test_exit_three_with_one_line(self, tmp_path, capsys, name, command):
+        path = tmp_path / "tiny.csv"
+        write_prediction_file(path, underflowing_datasets()[name])
+        assert run(command + ["--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lxcim: the weights underflow float arithmetic\n"
 
 
 class TestStartup:

@@ -9,6 +9,7 @@ from lxcim import (
     CurveKind,
     Dataset,
     EmptyDatasetError,
+    LxcimError,
     SingleClassError,
     accuracy,
     accuracy_rate_curve,
@@ -26,7 +27,7 @@ from lxcim import (
 )
 from lxcim.cli import main
 
-from conftest import random_dataset, unique_score_sweep
+from conftest import random_dataset, underflowing_datasets, unique_score_sweep
 
 
 class TestConfusionMatrix:
@@ -178,6 +179,14 @@ class TestLxcim:
         for _ in range(30):
             value = lxcim(random_dataset(rng, int(rng.integers(1, 100))), spec0)
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
+    def test_underflowing_weights_raise(self, name, spec0):
+        # lxcim squares the total weight and auroc multiplies the class totals
+        d = underflowing_datasets()[name]
+        for call in (lambda: lxcim(d, spec0), lambda: auroc(d), lambda: report(d, spec0)):
+            with pytest.raises(LxcimError, match="^the weights underflow float arithmetic$"):
+                call()
 
 
 class TestAccuracyRateCurve:

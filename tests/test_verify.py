@@ -8,6 +8,7 @@ from lxcim import (
     Dataset,
     DecisionSpec,
     EmptyDatasetError,
+    LxcimError,
     NonFiniteMapError,
     GeneratorConfig,
     GeneratorKind,
@@ -17,7 +18,6 @@ from lxcim import (
     audrc,
     auroc,
     brute_auroc,
-    brute_lxcim,
     convergence_study,
     cumulative_accuracy_curve,
     duplicate_dataset,
@@ -34,7 +34,8 @@ from lxcim.model import make_abs_spec, rank_by_confidence
 import lxcim.verify as verify
 from lxcim.verify import StudyResult, StudySizeResult, _area_left_of, _draw, _study_deviations, _study_seed
 
-from conftest import random_dataset, unique_score_sweep
+from conftest import random_dataset, underflowing_datasets, unique_score_sweep
+import exact
 
 
 class TestBruteAuroc:
@@ -58,22 +59,23 @@ class TestBruteAuroc:
 
 
 class TestBruteLxcim:
+    """Production LxCIM against the exact rational oracle."""
+
     def test_worked_example(self, d0, spec0):
-        assert brute_lxcim(d0, spec0) == pytest.approx(0.625, abs=1e-6)
+        assert lxcim(d0, spec0) == exact.lxcim(exact.samples(d0)) == 0.625
 
     def test_perfect_and_tie(self, perfect_pair, tie_pair, spec0):
-        assert brute_lxcim(perfect_pair, spec0) == pytest.approx(1.0, abs=1e-6)
-        assert brute_lxcim(tie_pair, spec0) == pytest.approx(0.5, abs=1e-6)
+        assert lxcim(perfect_pair, spec0) == exact.lxcim(exact.samples(perfect_pair)) == 1
+        assert lxcim(tie_pair, spec0) == exact.lxcim(exact.samples(tie_pair)) == 0.5
 
     def test_matches_closed_form(self, spec0):
+        # whole weights and scores k/8: every sum is exact and only the final division rounds
         rng = np.random.default_rng(21)
         for _ in range(10):
-            d = random_dataset(rng, int(rng.integers(1, 120)))
-            assert brute_lxcim(d, spec0) == pytest.approx(lxcim(d, spec0), abs=1e-6)
-
-    def test_subdivision_validation(self, d0, spec0):
-        with pytest.raises(ValueError):
-            brute_lxcim(d0, spec0, subdivisions=0)
+            n = int(rng.integers(1, 120))
+            d = Dataset(rng.choice([-1.0, 1.0], n) * rng.integers(1, 17, n) / 8, rng.integers(0, 2, n),
+                        rng.integers(1, 9, n).astype(float))
+            assert lxcim(d, spec0) == float(exact.lxcim(exact.samples(d)))
 
 
 class TestDoublingIdentity:
@@ -127,6 +129,12 @@ class TestDoublingIdentity:
                 assert _area_left_of(curve, x_stop) == running_sum(xs, ys, x_stop)
 
 
+    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
+    def test_underflowing_weights_raise(self, name, spec0):
+        with pytest.raises(LxcimError, match="^the weights underflow float arithmetic$"):
+            verify_doubling_identity(underflowing_datasets()[name], spec0)
+
+
 class TestCrossingPoint:
     def test_worked_example(self, d0, spec0):
         rep = verify_crossing_point(d0, spec0)
@@ -143,6 +151,14 @@ class TestCrossingPoint:
         for _ in range(25):
             d = random_dataset(rng, int(rng.integers(1, 100)))
             assert verify_crossing_point(d, spec0).deviation <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
+    def test_underflowing_weights_keep_the_report(self, name, spec0):
+        # no product of weight totals: the report is that of the weights scaled up by 2^540
+        d = underflowing_datasets()[name]
+        rep = verify_crossing_point(d, spec0)
+        assert rep.passed
+        assert rep == verify_crossing_point(Dataset(d.scores, d.labels, np.ldexp(d.weights, 540)), spec0)
 
 
 class TestGenerate:
@@ -202,6 +218,9 @@ class TestGenerate:
             dict(kind=GeneratorKind.RANDOM, n=True, seed=0),
             dict(kind=GeneratorKind.RANDOM, n=5, seed=2.5),
             dict(kind=GeneratorKind.RANDOM, n=5, seed=True),
+            dict(kind=GeneratorKind.BIASED, n=5, seed=0, p=True),
+            dict(kind=GeneratorKind.BIASED, n=5, seed=0, p=np.True_),
+            dict(kind=GeneratorKind.BIASED, n=5, seed=0, p="0.5"),
         ],
     )
     def test_config_validation(self, kwargs):
