@@ -10,142 +10,20 @@ brute-force AUROC oracle, invariance checkers, synthetic generators, and file
 ingestion.
 """
 
-from .errors import (
-    EmptyDatasetError,
-    InfeasiblePerturbationError,
-    InvalidMaskError,
-    LxcimError,
-    NonFiniteMapError,
-    NonFiniteValueError,
-    NonPositiveWeightError,
-    ParseError,
-    PredictionFileError,
-    SingleClassError,
-    UnknownLabelError,
-)
-from .exchange import (
-    ExchangeMask,
-    ExchangeWitness,
-    InvarianceReport,
-    PerturbationWitness,
-    check_categorical_lxc_invariance,
-    check_rank_lxc_invariance,
-    duplicate_dataset,
-    exchange_subset,
-    f1_score,
-    matthews_corrcoef,
-    perturb_confusion,
-)
+from .errors import *
+from .exchange import *
 from .io import ingest, read_prediction_rows, write_curve_csv, write_prediction_file
-from .metrics import (
-    ConfusionMatrix,
-    Curve,
-    CurveKind,
-    MetricsReport,
-    accuracy,
-    accuracy_rate_curve,
-    audrc,
-    auroc,
-    confusion_matrix,
-    cumulative_accuracy_curve,
-    lxcim,
-    report,
-    roc_curve,
-)
-from .model import (
-    Dataset,
-    DecisionSpec,
-    RankedView,
-    SpecValidationReport,
-    SpecViolation,
-    make_abs_spec,
-    predict,
-    rank_by_confidence,
-    validate_decision_spec,
-)
-from .verify import (
-    CrossingReport,
-    DoublingReport,
-    GeneratorConfig,
-    GeneratorKind,
-    StudyResult,
-    StudySizeResult,
-    WeightMode,
-    brute_auroc,
-    convergence_study,
-    generate,
-    verify_crossing_point,
-    verify_doubling_identity,
-)
+from .metrics import *
+from .model import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "Dataset",
-    "DecisionSpec",
-    "RankedView",
-    "SpecViolation",
-    "SpecValidationReport",
-    "predict",
-    "make_abs_spec",
-    "validate_decision_spec",
-    "rank_by_confidence",
-    # metrics
-    "ConfusionMatrix",
-    "Curve",
-    "CurveKind",
-    "MetricsReport",
-    "confusion_matrix",
-    "accuracy",
-    "roc_curve",
-    "auroc",
-    "cumulative_accuracy_curve",
-    "lxcim",
-    "accuracy_rate_curve",
-    "audrc",
-    "report",
-    # exchange
-    "ExchangeMask",
-    "ExchangeWitness",
-    "InvarianceReport",
-    "PerturbationWitness",
-    "exchange_subset",
-    "duplicate_dataset",
-    "check_rank_lxc_invariance",
-    "perturb_confusion",
-    "check_categorical_lxc_invariance",
-    "f1_score",
-    "matthews_corrcoef",
-    # verify
-    "GeneratorKind",
-    "WeightMode",
-    "GeneratorConfig",
-    "DoublingReport",
-    "CrossingReport",
-    "StudySizeResult",
-    "StudyResult",
-    "brute_auroc",
-    "verify_doubling_identity",
-    "verify_crossing_point",
-    "generate",
-    "convergence_study",
-    # io
-    "ingest",
-    "read_prediction_rows",
-    "write_prediction_file",
-    "write_curve_csv",
-    # errors
-    "LxcimError",
-    "EmptyDatasetError",
-    "SingleClassError",
-    "InvalidMaskError",
-    "InfeasiblePerturbationError",
-    "NonFiniteMapError",
-    "PredictionFileError",
-    "ParseError",
-    "UnknownLabelError",
-    "NonPositiveWeightError",
-    "NonFiniteValueError",
-]
+# the imports above bind each submodule here; io's parsing pieces stay in lxcim.io
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += metrics.__all__
+__all__ += exchange.__all__
+__all__ += verify.__all__
+__all__ += ["ingest", "read_prediction_rows", "write_prediction_file", "write_curve_csv"]
+__all__ += errors.__all__

@@ -215,8 +215,9 @@ def check_rank_lxc_invariance(
     position).  A deviation beyond ``tolerance``, or the metric failing on an
     exchanged dataset it accepted originally (e.g. AUROC turning single-class),
     is recorded as a witness; a ``NonFiniteMapError`` is raised, not recorded.
-    Trials run sequentially from one seeded generator, so a witness is
-    reproducible from (seed, trial).
+    A NaN or infinite value deviates by inf, and on the dataset itself raises
+    ``LxcimError``.  Trials run sequentially from one seeded generator, so a
+    witness is reproducible from (seed, trial).
 
     A trial costs one O(N) exchange plus one metric call.  The full
     exchange is reflected once per check; a trial draws its fair bits and
@@ -227,6 +228,8 @@ def check_rank_lxc_invariance(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     baseline = float(metric(dataset))
+    if not math.isfinite(baseline):
+        raise LxcimError(f"the metric is {baseline} on the dataset")
     rng = np.random.default_rng(seed)
     n = len(dataset)
     mirror = _mirror(dataset, spec)
@@ -247,7 +250,7 @@ def check_rank_lxc_invariance(
                     error=type(exc).__name__,
                 )
             continue
-        deviation = abs(value - baseline)
+        deviation = abs(value - baseline) if math.isfinite(value) else math.inf
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
             witness = ExchangeWitness(

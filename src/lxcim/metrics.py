@@ -322,6 +322,8 @@ def audrc(dataset: Dataset, spec: DecisionSpec) -> float:
 
 def _audrc(view: RankedView) -> float:
     ends, cum_weight = view.group_ends, view.cum_weight
+    # the rule of _lxcim: past it the interpolation rounds to the subnormal grid
+    _normal_product(cum_weight[-1], cum_weight[-1])
     if len(ends) == len(cum_weight):
         # every sample ends its own group, where G takes the cumulative value
         g_at = view.cum_correct_weight

@@ -100,3 +100,17 @@ def underflowing_datasets():
         "four-1e-170": Dataset([0.5, -0.5, 0.2, -0.3], [1, 0, 0, 1], [1e-170] * 4),
         "scaled-2^-540": Dataset(rng.uniform(-1.0, 1.0, 50), rng.integers(0, 2, 50), scaled),
     }
+
+
+def subnormal_weight_datasets():
+    """40 rows of 2-decimal scores with weights in [0.5, 2] scaled by 2^k into the subnormals.
+
+    The squared total weight underflows at each k, and AUDRC's interpolation
+    within tie groups rounds to the subnormal grid: unchecked, AUDRC read
+    0.6332664452955894, 0.633264426449919 and 0.6329855115982284 at these k,
+    against 0.6332664452926721 at k = 0.
+    """
+    rng = np.random.default_rng(1040)
+    scores, labels = np.round(rng.uniform(-1.0, 1.0, 40), 2), rng.integers(0, 2, 40)
+    weights = rng.uniform(0.5, 2.0, 40)
+    return {f"2^{k}": Dataset(scores, labels, np.ldexp(weights, k)) for k in (-1040, -1060, -1066)}

@@ -12,7 +12,9 @@ import lxcim
 from lxcim import Dataset, ingest, write_prediction_file
 from lxcim.cli import main
 
-from conftest import underflowing_datasets
+from conftest import subnormal_weight_datasets, underflowing_datasets
+
+UNDERFLOWING = {**underflowing_datasets(), **subnormal_weight_datasets()}
 
 
 @pytest.fixture()
@@ -393,15 +395,32 @@ class TestNonFiniteMap:
 class TestUnderflowingWeights:
     """Weights whose squared total underflows are a data error, exit 3."""
 
-    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
-    @pytest.mark.parametrize("command", [["eval"], ["check", "--metric", "lxcim"]], ids=["eval", "check"])
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING))
+    @pytest.mark.parametrize(
+        "command",
+        [["eval"], ["check", "--metric", "lxcim"], ["check", "--metric", "audrc"]],
+        ids=["eval", "check", "check-audrc"],
+    )
     def test_exit_three_with_one_line(self, tmp_path, capsys, name, command):
         path = tmp_path / "tiny.csv"
-        write_prediction_file(path, underflowing_datasets()[name])
+        write_prediction_file(path, UNDERFLOWING[name])
         assert run(command + ["--input", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "lxcim: the weights underflow float arithmetic\n"
+
+
+class TestNonFiniteBaseline:
+    """Weights of 1e308 make every metric NaN: check exits 3, as eval does."""
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy", "auroc"])
+    def test_check_exits_three(self, tmp_path, capsys, metric):
+        path = tmp_path / "huge.csv"
+        path.write_text("score,label,weight\n0.5,1,1e308\n-0.5,0,1e308\n0.2,0,1e308\n", encoding="utf-8")
+        assert run(["check", "--metric", metric, "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lxcim: the metric is nan on the dataset\n"
 
 
 class TestStartup:

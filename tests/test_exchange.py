@@ -245,6 +245,25 @@ class TestRankInvarianceChecker:
         with pytest.raises(ValueError):
             check_rank_lxc_invariance(auroc, d0, spec0, trials=0)
 
+    def test_non_finite_baseline_raises(self, spec0):
+        # weights of 1e308 sum to inf, so every metric is inf / inf on the dataset
+        d = Dataset([0.5, -0.5, 0.2], [1, 0, 0], [1e308] * 3)
+        for metric in (partial(lxcim, spec=spec0), partial(audrc, spec=spec0), partial(accuracy, spec=spec0), auroc):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(LxcimError, match="^the metric is nan on the dataset$"):
+                    check_rank_lxc_invariance(metric, d, spec0, trials=5)
+
+    def test_non_finite_trial_value_deviates_by_inf(self, d0, spec0):
+        # NaN compares false with the tolerance, so it must not read as no deviation
+        def metric(d):
+            return 0.5 if np.array_equal(d.labels, d0.labels) else math.nan
+
+        rep = check_rank_lxc_invariance(metric, d0, spec0, trials=8, seed=3)
+        assert rep.baseline == 0.5
+        assert rep.max_deviation == math.inf
+        assert not rep.passed
+        assert rep.witness.error is None and math.isnan(rep.witness.value)
+
 
 def reference_exchange(dataset, mask, spec):
     """Exchange by copying the arrays and building a fully validated Dataset."""

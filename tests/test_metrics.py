@@ -27,7 +27,9 @@ from lxcim import (
 )
 from lxcim.cli import main
 
-from conftest import random_dataset, underflowing_datasets, unique_score_sweep
+from conftest import random_dataset, subnormal_weight_datasets, underflowing_datasets, unique_score_sweep
+
+UNDERFLOWING = {**underflowing_datasets(), **subnormal_weight_datasets()}
 
 
 class TestConfusionMatrix:
@@ -180,11 +182,12 @@ class TestLxcim:
             value = lxcim(random_dataset(rng, int(rng.integers(1, 100))), spec0)
             assert 0.0 <= value <= 1.0
 
-    @pytest.mark.parametrize("name", sorted(underflowing_datasets()))
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING))
     def test_underflowing_weights_raise(self, name, spec0):
-        # lxcim squares the total weight and auroc multiplies the class totals
-        d = underflowing_datasets()[name]
-        for call in (lambda: lxcim(d, spec0), lambda: auroc(d), lambda: report(d, spec0)):
+        # lxcim and audrc square the total weight and auroc multiplies the class totals
+        d = UNDERFLOWING[name]
+        calls = (lambda: lxcim(d, spec0), lambda: audrc(d, spec0), lambda: auroc(d), lambda: report(d, spec0))
+        for call in calls:
             with pytest.raises(LxcimError, match="^the weights underflow float arithmetic$"):
                 call()
 
