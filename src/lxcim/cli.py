@@ -3,7 +3,8 @@
 Subcommands: ``eval`` (metrics report, optional curve artifacts), ``check``
 (random-mask exchange invariance probe), ``duplicate`` (write the
 class-exchange doubled file), ``synth`` (synthetic prediction files), and
-``study`` (chance-level convergence table).
+``study`` (chance-level convergence table).  The first three take the
+decision threshold as ``--s-star`` (default 0; 0.5 for probability scores).
 
 Exit codes: 0 success / invariant holds, 1 invariance violation, 2 usage
 error, 3 I/O, parse, or metric error (including a confidence or reflection
@@ -64,12 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--positive-label", default="1", help="label text mapped to class 1 (default: 1)"
     )
     ingestion.add_argument(
-        "--s-star", type=float, default=None, help="decision threshold (default: 0)"
-    )
-    ingestion.add_argument(
-        "--prob",
-        action="store_true",
-        help="scores are probabilities: shorthand for --s-star 0.5",
+        "--s-star", type=float, default=0.0,
+        help="decision threshold (default: 0; 0.5 for probability scores)",
     )
 
     p_eval = sub.add_parser("eval", parents=[ingestion], help="compute the metrics report")
@@ -117,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_s_star(parser: argparse.ArgumentParser, args) -> float:
-    if args.prob and args.s_star is not None:
-        parser.error("--prob and --s-star are mutually exclusive")
-    if args.prob:
-        return 0.5
-    return 0.0 if args.s_star is None else args.s_star
-
-
 def _reference_series(kind: CurveKind) -> list[Series]:
     if kind is CurveKind.CUM_ACC:
         return [
@@ -164,8 +153,7 @@ def _write_curve_artifacts(directory: Path, curve, stem: str | None = None) -> N
 
 
 def _cmd_eval(parser, args) -> int:
-    s_star = _resolve_s_star(parser, args)
-    dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, s_star)
+    dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, args.s_star)
 
     view = rank_by_confidence(dataset, spec)
     sweep = _two_class_sweep(dataset)  # shared by the AUROC and the ROC curve
@@ -202,8 +190,7 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    s_star = _resolve_s_star(parser, args)
-    dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, s_star)
+    dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, args.s_star)
 
     if args.metric == "auroc":
         metric = auroc
@@ -226,10 +213,9 @@ def _cmd_check(parser, args) -> int:
 
 
 def _cmd_duplicate(parser, args) -> int:
-    s_star = _resolve_s_star(parser, args)
     rows = file_io.read_prediction_rows(args.input, args.format)
     dataset, spec, negative = file_io.build_dataset(
-        rows, args.positive_label, s_star, path=args.input
+        rows, args.positive_label, args.s_star, path=args.input
     )
     doubled = duplicate_dataset(dataset, spec)
     if negative is None:

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteMapError,
 )
 from .metrics import ConfusionMatrix
-from .model import Dataset, DecisionSpec
+from .model import _CHECK_TOLERANCE, Dataset, DecisionSpec, _whole_number
 
 __all__ = [
     "ExchangeMask",
@@ -201,23 +201,42 @@ class InvarianceReport:
         return self.witness is None
 
 
+def _baseline(metric: Callable, data, trials, seed) -> tuple[float, int, int]:
+    """The metric's value on the unchanged data; NaN or inf raises ``LxcimError``.
+
+    ``trials`` (at least 1) and ``seed`` must be integral, not booleans, or
+    ValueError is raised before the metric runs.
+    """
+    trials, seed = _whole_number(trials, "trials"), _whole_number(seed, "seed")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    baseline = float(metric(data))
+    if not math.isfinite(baseline):
+        raise LxcimError(f"the metric is {baseline} on the dataset")
+    return baseline, trials, seed
+
+
+def _deviation(value: float, baseline: float) -> float:
+    """How far a probe moved the metric; a NaN or infinite value moved it by inf."""
+    return abs(value - baseline) if math.isfinite(value) else math.inf
+
+
 def check_rank_lxc_invariance(
     metric: Callable[[Dataset], float],
     dataset: Dataset,
     spec: DecisionSpec,
     trials: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> InvarianceReport:
     """Probe a dataset metric with random exchange masks.
 
     Masks are drawn uniformly over all 2^N subsets (independent fair bit per
-    position).  A deviation beyond ``tolerance``, or the metric failing on an
-    exchanged dataset it accepted originally (e.g. AUROC turning single-class),
-    is recorded as a witness; a ``NonFiniteMapError`` is raised, not recorded.
-    A NaN or infinite value deviates by inf, and on the dataset itself raises
-    ``LxcimError``.  Trials run sequentially from one seeded generator, so a
-    witness is reproducible from (seed, trial).
+    position).  A deviation beyond the report's ``tolerance`` of 1e-9, or the
+    metric failing on an exchanged dataset it accepted originally (e.g. AUROC
+    turning single-class), is recorded as a witness; a ``NonFiniteMapError``
+    is raised, not recorded.  A NaN or infinite value deviates by inf, and on
+    the dataset itself raises ``LxcimError``.  Trials run sequentially from
+    one seeded generator, so a witness is reproducible from (seed, trial).
 
     A trial costs one O(N) exchange plus one metric call.  The full
     exchange is reflected once per check; a trial draws its fair bits and
@@ -225,11 +244,7 @@ def check_rank_lxc_invariance(
     re-checking the arrays (see ``Dataset._from_valid``).  An
     ``ExchangeMask`` is built only for the witness.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    baseline = float(metric(dataset))
-    if not math.isfinite(baseline):
-        raise LxcimError(f"the metric is {baseline} on the dataset")
+    baseline, trials, seed = _baseline(metric, dataset, trials, seed)
     rng = np.random.default_rng(seed)
     n = len(dataset)
     mirror = _mirror(dataset, spec)
@@ -250,16 +265,16 @@ def check_rank_lxc_invariance(
                     error=type(exc).__name__,
                 )
             continue
-        deviation = abs(value - baseline) if math.isfinite(value) else math.inf
+        deviation = _deviation(value, baseline)
         max_deviation = max(max_deviation, deviation)
-        if deviation > tolerance and witness is None:
+        if deviation > _CHECK_TOLERANCE and witness is None:
             witness = ExchangeWitness(
                 trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=value, error=None
             )
     return InvarianceReport(
         baseline=baseline,
         trials=trials,
-        tolerance=tolerance,
+        tolerance=_CHECK_TOLERANCE,
         max_deviation=max_deviation,
         witness=witness,
     )
@@ -306,7 +321,6 @@ def check_categorical_lxc_invariance(
     cm: ConfusionMatrix,
     trials: int = 100,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> InvarianceReport:
     """Probe a confusion-matrix metric under correctness-preserving moves.
 
@@ -314,11 +328,11 @@ def check_categorical_lxc_invariance(
     ``_GRID_REACH``) first (where witnesses live for the classic scores), at
     most 33^2 - 1 = 1088 probes, then ``trials`` random real perturbations
     drawn uniformly over the feasible box.  Moves that ``perturb_confusion``
-    refuses as infeasible are skipped.
+    refuses as infeasible are skipped.  A deviation beyond the report's
+    ``tolerance`` of 1e-9 is a witness.  A NaN or infinite value deviates by
+    inf, and on ``cm`` itself raises ``LxcimError``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    baseline = float(metric(cm))
+    baseline, trials, seed = _baseline(metric, cm, trials, seed)
     max_deviation = 0.0
     witness: PerturbationWitness | None = None
 
@@ -329,9 +343,9 @@ def check_categorical_lxc_invariance(
         except InfeasiblePerturbationError:
             return
         value = float(metric(moved))
-        deviation = abs(value - baseline)
+        deviation = _deviation(value, baseline)
         max_deviation = max(max_deviation, deviation)
-        if deviation > tolerance and witness is None:
+        if deviation > _CHECK_TOLERANCE and witness is None:
             witness = PerturbationWitness(delta1=delta1, delta2=delta2, value=value)
 
     reach = min(int(math.floor(min(cm.as_tuple()))), _GRID_REACH)
@@ -348,7 +362,7 @@ def check_categorical_lxc_invariance(
     return InvarianceReport(
         baseline=baseline,
         trials=trials,
-        tolerance=tolerance,
+        tolerance=_CHECK_TOLERANCE,
         max_deviation=max_deviation,
         witness=witness,
     )

@@ -42,6 +42,21 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is integral and not a boolean."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be integral, got {value!r}")
+    return whole
+
+
+# The largest deviation the invariance checkers and identity verifiers let pass
+_CHECK_TOLERANCE = 1e-9
+
+
 class Dataset:
     """Immutable, ordered collection of weighted scored samples.
 
@@ -215,13 +230,10 @@ class SpecValidationReport:
         return tuple(sorted({v.check for v in self.violations}))
 
 
-def validate_decision_spec(
-    spec: DecisionSpec,
-    grid,
-    *,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-12,
-) -> SpecValidationReport:
+_SPEC_TOLERANCE = 1e-12
+
+
+def validate_decision_spec(spec: DecisionSpec, grid) -> SpecValidationReport:
     """Probe every DecisionSpec contract on a finite score grid.
 
     Violations are reported, not raised, so a caller can inspect all of them
@@ -230,11 +242,11 @@ def validate_decision_spec(
     Checks: zero minimum exactly at the threshold, positivity elsewhere,
     strict decrease below / increase above the threshold, confidence symmetry
     under reflection, reflection being a sign-flipping involution that fixes
-    the threshold, the last two up to ``math.isclose`` with the given
-    tolerances.  Violations come in three blocks: ``minimum-at-threshold``,
-    then ``bi-monotonic`` (each in grid order), then per grid point
-    ``reflect-finite``, ``fixed-point``, ``confidence-symmetry``,
-    ``involution`` and ``sign-flip``.
+    the threshold, the last two up to ``math.isclose`` with relative and
+    absolute tolerance 1e-12.  Violations come in three blocks:
+    ``minimum-at-threshold``, then ``bi-monotonic`` (each in grid order), then
+    per grid point ``reflect-finite``, ``fixed-point``,
+    ``confidence-symmetry``, ``involution`` and ``sign-flip``.
     """
     grid_arr = _as_float_array(grid, "grid")
     if len(grid_arr) == 0:
@@ -250,7 +262,7 @@ def validate_decision_spec(
 
     def close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.abs(a - b)
-        near = (diff <= rel_tol * np.maximum(np.abs(a), np.abs(b))) | (diff <= abs_tol)
+        near = (diff <= _SPEC_TOLERANCE * np.maximum(np.abs(a), np.abs(b))) | (diff <= _SPEC_TOLERANCE)
         return (a == b) | (np.isfinite(a) & np.isfinite(b) & near)
 
     # overflow and NaN in the maps are reported as violations, not warned about
@@ -262,8 +274,6 @@ def validate_decision_spec(
         asymmetric, not_involutive = ~close(conf_refl, conf), ~close(refl_refl, grid_arr)
     finite = np.isfinite(refl)
     live = finite & ~at
-    if live.any():  # math.isclose rejects bad tolerances wherever it runs
-        math.isclose(0.0, 0.0, rel_tol=rel_tol, abs_tol=abs_tol)
     below, above = grid_arr < s_star, grid_arr > s_star
     # the grid starts at or below s_star and ends at or above it, so the
     # wrapped-around pair (last, first) is never on one side

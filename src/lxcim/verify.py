@@ -30,6 +30,7 @@ from .metrics import (
     _sweep,
 )
 from .model import Dataset, DecisionSpec, make_abs_spec, rank_by_confidence
+from .model import _CHECK_TOLERANCE, _whole_number
 
 __all__ = [
     "GeneratorKind",
@@ -164,14 +165,13 @@ class DoublingReport:
         )
 
 
-def verify_doubling_identity(
-    dataset: Dataset, spec: DecisionSpec, tolerance: float = 1e-9
-) -> DoublingReport:
+def verify_doubling_identity(dataset: Dataset, spec: DecisionSpec) -> DoublingReport:
     """Check AUROC(duplicated) = LxCIM(original) = ACC^2 + 2H.
 
     H is the area under ROC(duplicated) left of FPR = 1 - ACC.  Exact only
     when no sample sits at the threshold (such samples keep their class under
-    duplication and unbalance the two sides).
+    duplication and unbalance the two sides).  The report passes when both
+    deviations are at most its ``tolerance``, 1e-9.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)  # one sweep for the AUROC and the ROC
     lx = _lxcim(view)
@@ -185,7 +185,7 @@ def verify_doubling_identity(
         h_area=h,
         doubling_deviation=abs(au - lx),
         area_identity_deviation=abs(au - (acc * acc + 2.0 * h)),
-        tolerance=tolerance,
+        tolerance=_CHECK_TOLERANCE,
     )
 
 
@@ -203,14 +203,13 @@ class CrossingReport:
         return self.deviation <= self.tolerance
 
 
-def verify_crossing_point(
-    dataset: Dataset, spec: DecisionSpec, tolerance: float = 1e-9
-) -> CrossingReport:
+def verify_crossing_point(dataset: Dataset, spec: DecisionSpec) -> CrossingReport:
     """Locate the anti-diagonal crossing of the duplicated ROC curve.
 
     Along the curve x + y - 1 is strictly increasing (both coordinates are
     non-decreasing and never simultaneously constant), so the crossing is
-    unique; it must land at (1 - ACC, ACC).
+    unique; it must land at (1 - ACC, ACC), within the report's
+    ``tolerance`` of 1e-9.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)
     curve = _roc_curve(sweep)
@@ -231,7 +230,7 @@ def verify_crossing_point(
     expected = (1.0 - acc, acc)
     deviation = max(abs(found[0] - expected[0]), abs(found[1] - expected[1]))
     return CrossingReport(
-        expected=expected, found=found, deviation=deviation, tolerance=tolerance
+        expected=expected, found=found, deviation=deviation, tolerance=_CHECK_TOLERANCE
     )
 
 
@@ -347,17 +346,6 @@ def _study_seed(base_seed: int, size_index: int, draw: int) -> int:
 # stays bounded at any seed count, and a size above this runs one row a block.
 # Its 32 KB temporaries stay under glibc's mmap threshold: no page faults
 _STUDY_BLOCK = 2**12
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is integral and not a boolean."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be integral, got {value!r}")
-    return whole
 
 
 def _study_deviations(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

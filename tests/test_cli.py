@@ -59,13 +59,15 @@ class TestEval:
     def test_prob_threshold(self, tmp_path, capsys):
         path = tmp_path / "prob.csv"
         path.write_text("score,label\n0.9,1\n0.1,0\n", encoding="utf-8")
-        assert run(["eval", "--input", path, "--prob", "--output", "json"]) == 0
+        assert run(["eval", "--input", path, "--s-star", "0.5", "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
 
-    def test_prob_conflicts_with_s_star(self, d0_csv, capsys):
+    def test_removed_prob_and_nan_s_star_are_usage_errors(self, d0_csv, capsys):
+        # --prob was a second spelling of --s-star 0.5
         with pytest.raises(SystemExit) as err:
-            run(["eval", "--input", d0_csv, "--prob", "--s-star", "1"])
+            run(["eval", "--input", d0_csv, "--prob"])
         assert err.value.code == 2
+        assert "usage: lxcim" in capsys.readouterr().err
         with pytest.raises(SystemExit) as err:
             run(["eval", "--input", d0_csv, "--s-star", "nan"])
         assert err.value.code == 2

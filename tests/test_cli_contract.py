@@ -129,19 +129,14 @@ def assert_contract(command, code, out, err):
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(file=prediction_files(), threshold=st.one_of(st.none(), st.just("--prob"), values))
+@given(file=prediction_files(), threshold=st.one_of(st.none(), st.just(0.5), values))
 @example(file=pinned(underflowing_datasets()["four-1e-170"]), threshold=None)
 @example(file=pinned(underflowing_datasets()["scaled-2^-540"]), threshold=None)
 @example(file=HUGE, threshold=None)
 @example(file=pinned(subnormal_weight_datasets()["2^-1066"]), threshold=None)
 def test_exit_codes_and_output(file, threshold):
     fmt, data, positive_label = file
-    if threshold is None:
-        options = []
-    elif threshold == "--prob":
-        options = ["--prob"]
-    else:
-        options = [f"--s-star={threshold!r}"]
+    options = [] if threshold is None else [f"--s-star={threshold!r}"]
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"predictions.{fmt}"
         path.write_bytes(data)

@@ -265,6 +265,33 @@ class TestRankInvarianceChecker:
         assert rep.witness.error is None and math.isnan(rep.witness.value)
 
 
+# unchecked, each of these was stored in the report or failed only after the metric ran
+NOT_INTEGRAL = [{"trials": True}, {"trials": 2.5}, {"seed": True}, {"seed": 2.5}, {"seed": np.True_}, {"seed": None}]
+
+
+def refusing_metric(_):
+    raise AssertionError("the metric ran before trials and seed were checked")
+
+
+class TestCheckerArguments:
+    @pytest.mark.parametrize("bad", NOT_INTEGRAL, ids=repr)
+    def test_rank_checker_rejects_before_the_metric_runs(self, bad, d0, spec0):
+        with pytest.raises(ValueError, match="must be integral"):
+            check_rank_lxc_invariance(refusing_metric, d0, spec0, **bad)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGRAL, ids=repr)
+    def test_categorical_checker_rejects_before_the_metric_runs(self, bad):
+        with pytest.raises(ValueError, match="must be integral"):
+            check_categorical_lxc_invariance(refusing_metric, ConfusionMatrix(3, 1, 2, 4), **bad)
+
+    def test_integral_numbers_are_stored_as_int(self, d0, spec0):
+        rank = check_rank_lxc_invariance(partial(lxcim, spec=spec0), d0, spec0, trials=np.int64(4), seed=7.0)
+        categorical = check_categorical_lxc_invariance(f1_score, ConfusionMatrix(3, 1, 2, 4), trials=4.0, seed=np.uint8(7))
+        assert type(rank.trials) is int and type(categorical.trials) is int
+        assert rank == check_rank_lxc_invariance(partial(lxcim, spec=spec0), d0, spec0, trials=4, seed=7)
+        assert categorical == check_categorical_lxc_invariance(f1_score, ConfusionMatrix(3, 1, 2, 4), trials=4, seed=7)
+
+
 def reference_exchange(dataset, mask, spec):
     """Exchange by copying the arrays and building a fully validated Dataset."""
     idx = ExchangeMask(mask).indices
@@ -537,6 +564,24 @@ class TestCategoricalChecker:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             check_categorical_lxc_invariance(f1_score, ConfusionMatrix(1, 1, 1, 1), trials=0)
+
+    def test_non_finite_baseline_raises(self):
+        # the products of the marginals overflow, so MCC is inf / inf
+        cm = ConfusionMatrix(1e200, 3e200, 2e200, 1e200)
+        assert math.isnan(matthews_corrcoef(cm))
+        with pytest.raises(LxcimError, match="^the metric is nan on the dataset$"):
+            check_categorical_lxc_invariance(matthews_corrcoef, cm, trials=5)
+
+    def test_non_finite_probe_value_deviates_by_inf(self):
+        cm = ConfusionMatrix(3, 1, 2, 4)
+
+        def metric(moved):
+            return 0.5 if moved == cm else math.nan
+
+        rep = check_categorical_lxc_invariance(metric, cm, trials=5, seed=1)
+        assert (rep.baseline, rep.max_deviation) == (0.5, math.inf)
+        assert not rep.passed
+        assert (rep.witness.delta1, rep.witness.delta2) == (-1.0, -1.0) and math.isnan(rep.witness.value)
 
     def test_grid_reach_is_capped(self):
         # all four cells >= 16, so every move of the 33 x 33 grid is feasible

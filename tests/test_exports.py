@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -25,6 +26,22 @@ def test_ranked_view_has_no_total_weight():
     # Dataset.total_weight is the one total
     view = lxcim.rank_by_confidence(lxcim.Dataset([1.0], [1]), lxcim.make_abs_spec())
     assert not hasattr(view, "total_weight")
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        lxcim.check_rank_lxc_invariance,
+        lxcim.check_categorical_lxc_invariance,
+        lxcim.verify_doubling_identity,
+        lxcim.verify_crossing_point,
+        lxcim.validate_decision_spec,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_tolerances_are_fixed(function):
+    # the checkers and verifiers pass at 1e-9, the spec validator at 1e-12
+    assert set(inspect.signature(function).parameters).isdisjoint({"tolerance", "rel_tol", "abs_tol"})
 
 
 PACKAGE_SOURCES = ("model", "metrics", "exchange", "verify", "io", "errors")
