@@ -473,6 +473,24 @@ class TestValidatorReference:
         }
         assert near["clean"] > 0 and near["flagged"] > 0, near
 
+    @pytest.mark.parametrize("stretch", [1.0 + 1e-13, 2.0])
+    @pytest.mark.parametrize("grid", [[0.0], [-0.0, 0.0], [-1.0, 0.0, 1.0]])
+    @pytest.mark.parametrize(
+        "rel_tol,abs_tol", [(-1.0, 1e-12), (1e-12, -1.0), (0.0, 0.0), (np.nan, 1e-12), (np.inf, 0.0), (0.5, 0.0)]
+    )
+    def test_matches_loops_on_odd_tolerances(self, grid, rel_tol, abs_tol, stretch):
+        # the tolerances are fixed at 1e-12, so each odd pair is refused as a
+        # keyword; on the same spec the validator still matches the loops, and
+        # a stretch of 1 + 1e-13 stays within the fixed tolerance while 2 does not
+        spec = DecisionSpec(0.0, np.abs, lambda s: -s * stretch)
+        for name, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+            with pytest.raises(TypeError, match=name):
+                validate_decision_spec(spec, grid, **{name: value})
+        expected = self.reference(spec, grid)
+        assert self.current(spec, grid) == expected
+        nonzero = any(s != 0.0 for s in grid)
+        assert any(v.check == "involution" for v in expected) == (nonzero and stretch == 2.0)
+
 
 class TestRankByConfidence:
     def test_worked_example_order(self, d0, spec0):
