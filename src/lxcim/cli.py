@@ -29,15 +29,14 @@ from .metrics import (
     CurveKind,
     _accuracy_rate_curve,
     _cumulative_accuracy_curve,
+    _rank_and_score_sweep,
     _report,
     _roc_curve,
-    _two_class_sweep,
     accuracy,
     audrc,
     auroc,
     lxcim,
 )
-from .model import rank_by_confidence
 from .svg import Series, line_chart
 from .verify import GeneratorConfig, GeneratorKind, convergence_study, generate
 
@@ -155,8 +154,7 @@ def _write_curve_artifacts(directory: Path, curve, stem: str | None = None) -> N
 def _cmd_eval(parser, args) -> int:
     dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, args.s_star)
 
-    view = rank_by_confidence(dataset, spec)
-    sweep = _two_class_sweep(dataset)  # shared by the AUROC and the ROC curve
+    view, sweep = _rank_and_score_sweep(dataset, spec)  # the sweep serves the AUROC and the ROC curve
     rep = _report(view, sweep)
     payload = {**rep.as_dict(), "n": len(dataset), "total_weight": dataset.total_weight}
     for key, value in payload.items():

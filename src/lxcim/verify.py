@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import enum
 import numbers
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +24,7 @@ from .metrics import (
     _auroc,
     _cumulative_accuracy_curve,
     _lxcim,
+    _rank_and_sweep,
     _roc_curve,
     _sweep,
 )
@@ -83,26 +82,12 @@ def _area_left_of(curve: Curve, x_stop: float) -> float:
     return area
 
 
-# Rows from which the verifiers sweep the duplicate on a helper thread.  On a
-# 2-core x86 VM, tied and continuous data alike, a threaded verify_doubling_identity
-# took 1.1-1.3x the sequential time at 2^12 rows (the helper costs about 0.3 ms),
-# 0.85-0.9x at 2^13, 0.75-0.9x at 2^14 and 0.6-0.75x from 2^17 rows up.
-_HELPER_MIN_N = 2**14
-
-
-def _two_cpus() -> bool:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use, on Linux
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
 def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
     """The dataset's ranking, and the score sweep of its duplicate taken from the duplicate itself.
 
     The duplicate's sweep inputs are built here, on the calling thread, which
-    alone runs the spec's maps.  From ``_HELPER_MIN_N`` rows, with two CPUs,
-    a helper thread sweeps them while this thread ranks the dataset; a sweep
-    error still comes first, as in sequence.
+    alone runs the spec's maps; ``_rank_and_sweep`` may sweep them on a
+    helper thread.  A sweep error comes first, as in sequence.
     """
     n = len(dataset)
     if n == 0:
@@ -119,30 +104,8 @@ def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
     # all four buffers come from this thread's malloc arena, which keeps the
     # pages it frees for reuse; a helper's own arena would add its pages to those
     weights = np.concatenate((dataset.weights, dataset.weights))
-    sweep_inputs = (key, negative, weights, np.empty(2 * n))
-    if n < _HELPER_MIN_N or not _two_cpus():
-        sweep = _sweep(*sweep_inputs)
-        return rank_by_confidence(dataset, spec), sweep
-
-    outcome = []
-    errors = np.geterr()  # numpy keeps its error state per thread
-
-    def sweep_on_helper():
-        try:
-            with np.errstate(**errors):
-                outcome.append(_sweep(*sweep_inputs))
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome.append(exc)
-
-    helper = threading.Thread(target=sweep_on_helper)
-    helper.start()
-    try:
-        view = rank_by_confidence(dataset, spec)
-    finally:
-        helper.join()
-        if isinstance(outcome[0], BaseException):
-            raise outcome[0]
-    return view, outcome[0]
+    inputs = (key, negative, weights, np.empty(2 * n))
+    return _rank_and_sweep(dataset, spec, _sweep, inputs, sweep_error_first=True)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ class TestEval:
     @pytest.mark.parametrize("output", ["json", "table"])
     @pytest.mark.parametrize("weight", ["1e300", "1e308"], ids=["metric-overflow", "total-overflow"])
     def test_non_finite_result_is_data_error(self, tmp_path, capsys, weight, output):
-        # squared totals overflow to nan; two 1e308 weights sum to inf
+        # squared totals overflow to inf; two 1e308 weights sum to inf
         path = tmp_path / "huge.csv"
         path.write_text(
             f"score,label,weight\n0.5,1,{weight}\n-0.5,0,{weight}\n0.2,0,{weight}\n",
@@ -150,8 +150,7 @@ class TestEval:
         assert run(["eval", "--input", path, "--output", output]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("lxcim: ")
-        assert "nan" in captured.err or "inf" in captured.err
+        assert captured.err == "lxcim: the weights overflow float arithmetic\n"
 
     def test_tie_group_lost_to_rounding_is_finite(self, tmp_path, capsys):
         path = tmp_path / "lost.csv"
@@ -412,17 +411,35 @@ class TestUnderflowingWeights:
         assert captured.err == "lxcim: the weights underflow float arithmetic\n"
 
 
-class TestNonFiniteBaseline:
-    """Weights of 1e308 make every metric NaN: check exits 3, as eval does."""
+class TestWeightOverflow:
+    """Weights whose total, or whose product of totals, overflows: check exits 3, as eval does."""
+
+    @staticmethod
+    def write(tmp_path, weight):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"score,label,weight\n1.0,1,{weight}\n-0.5,1,{weight}\n0.3,0,{weight}\n", encoding="utf-8")
+        return path
 
     @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy", "auroc"])
     def test_check_exits_three(self, tmp_path, capsys, metric):
-        path = tmp_path / "huge.csv"
-        path.write_text("score,label,weight\n0.5,1,1e308\n-0.5,0,1e308\n0.2,0,1e308\n", encoding="utf-8")
-        assert run(["check", "--metric", metric, "--input", path]) == 3
+        # the total weight is inf; accuracy and AUDRC once read 0.0 here and exited 0
+        assert run(["check", "--metric", metric, "--input", self.write(tmp_path, "1e308")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "lxcim: the metric is nan on the dataset\n"
+        assert captured.err == "lxcim: the weights overflow float arithmetic\n"
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy", "auroc"])
+    def test_only_the_products_overflow(self, tmp_path, capsys, metric):
+        # a total of 3e200 is finite, its square is not: LxCIM and AUROC once read nan
+        code = run(["check", "--metric", metric, "--trials", "5", "--input", self.write(tmp_path, "1e200")])
+        captured = capsys.readouterr()
+        if metric in ("lxcim", "auroc"):
+            assert (code, captured.out) == (3, "")
+            assert captured.err == "lxcim: the weights overflow float arithmetic\n"
+        else:
+            assert code == 0
+            baseline = float(captured.out.split("baseline=")[1].split()[0])
+            assert baseline == pytest.approx(1 / 3 if metric == "accuracy" else 11 / 18, rel=1e-15)
 
 
 class TestStartup:

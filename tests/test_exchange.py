@@ -245,12 +245,17 @@ class TestRankInvarianceChecker:
         with pytest.raises(ValueError):
             check_rank_lxc_invariance(auroc, d0, spec0, trials=0)
 
-    def test_non_finite_baseline_raises(self, spec0):
-        # weights of 1e308 sum to inf, so every metric is inf / inf on the dataset
+    def test_non_finite_baseline_raises(self, d0, spec0):
+        for value in (math.nan, math.inf):
+            with pytest.raises(LxcimError, match=f"^the metric is {value} on the dataset$"):
+                check_rank_lxc_invariance(lambda d: value, d0, spec0, trials=5)
+
+    def test_overflowing_weights_raise_in_the_metric(self, spec0):
+        # weights of 1e308 sum to inf: every metric raises before the checker sees a value
         d = Dataset([0.5, -0.5, 0.2], [1, 0, 0], [1e308] * 3)
         for metric in (partial(lxcim, spec=spec0), partial(audrc, spec=spec0), partial(accuracy, spec=spec0), auroc):
             with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(LxcimError, match="^the metric is nan on the dataset$"):
+                with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
                     check_rank_lxc_invariance(metric, d, spec0, trials=5)
 
     def test_non_finite_trial_value_deviates_by_inf(self, d0, spec0):

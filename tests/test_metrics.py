@@ -192,6 +192,40 @@ class TestLxcim:
                 call()
 
 
+class TestWeightOverflow:
+    """Weights whose sums or products overflow raise, where they once gave 0.0, nan or inf."""
+
+    @staticmethod
+    def three_rows(weight):
+        return Dataset([1.0, -0.5, 0.3], [1, 1, 0], [weight] * 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_infinite_total_raises_everywhere(self, spec0):
+        # accuracy and AUDRC read 0.0 here, and LxCIM and AUROC nan
+        d = self.three_rows(1e308)
+        calls = (lambda: accuracy(d, spec0), lambda: audrc(d, spec0), lambda: lxcim(d, spec0),
+                 lambda: auroc(d), lambda: report(d, spec0))
+        for call in calls:
+            with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
+                call()
+
+    def test_overflowing_products_raise(self, spec0):
+        # the total 3e200 is finite and its square is not
+        d = self.three_rows(1e200)
+        for call in (lambda: lxcim(d, spec0), lambda: auroc(d), lambda: report(d, spec0)):
+            with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
+                call()
+        assert accuracy(d, spec0) == accuracy(self.three_rows(1.0), spec0)
+        # AUDRC takes no product of totals: it keeps its value
+        assert audrc(d, spec0) == pytest.approx(11 / 18, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_auroc_area_raises(self):
+        # 1.2e308 * 1 is finite, but the trapezoid's sum of adjacent tp is not: AUROC read inf
+        with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
+            auroc(Dataset([1.0, -1.0], [1, 0], [1.2e308, 1.0]))
+
+
 class TestAccuracyRateCurve:
     def test_worked_example(self, d0, spec0):
         curve = accuracy_rate_curve(d0, spec0)
@@ -357,7 +391,7 @@ class TestRankOnce:
 
     @pytest.fixture()
     def sweep_calls(self, count_calls):
-        return count_calls(metrics_module, "_score_sweep")
+        return count_calls(metrics_module, "_sweep")
 
     @staticmethod
     def sizes(calls):

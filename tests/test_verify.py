@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from lxcim import (
     verify_doubling_identity,
 )
 
+from lxcim.cli import main
+from lxcim.io import write_prediction_file
+import lxcim.metrics as metrics
 from lxcim.metrics import _accuracy_rate_curve, _cumulative_accuracy_curve
 from lxcim.model import make_abs_spec, rank_by_confidence
 import lxcim.verify as verify
@@ -420,12 +424,13 @@ def reference_fields(monkeypatch, dataset, spec):
 
 @pytest.fixture(params=["sequential", "helper"])
 def verify_path(request, monkeypatch):
-    """Run the verifiers with the duplicate swept in sequence, or on a helper thread at any size."""
+    """Run ``report``, ``lxcim eval`` and the verifiers with the ranking and the sweep in
+    sequence, or on two threads at any size."""
     if request.param == "helper":
-        monkeypatch.setattr(verify, "_HELPER_MIN_N", 1)
-        monkeypatch.setattr(verify, "_two_cpus", lambda: True)
+        monkeypatch.setattr(metrics, "_HELPER_MIN_N", 1)
+        monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
     else:
-        monkeypatch.setattr(verify, "_HELPER_MIN_N", 2**62)
+        monkeypatch.setattr(metrics, "_HELPER_MIN_N", 2**62)
     return request.param
 
 
@@ -475,11 +480,83 @@ class TestVerifierReference:
         assert verifier_fields(d, spec) == reference_fields(monkeypatch, d, spec)
 
     def test_above_the_helper_size_by_default(self, monkeypatch, spec0):
-        monkeypatch.setattr(verify, "_two_cpus", lambda: True)
-        rng = np.random.default_rng(73)
-        n = verify._HELPER_MIN_N + 5
-        d = Dataset(np.round(rng.uniform(-1.0, 1.0, n), 2), rng.integers(0, 2, n), rng.uniform(0.05, 2.0, n))
+        monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
+        d = above_the_helper_size(73)
         assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
+
+
+HELPER_MIN_N = metrics._HELPER_MIN_N  # read before any test patches it
+
+
+def above_the_helper_size(seed, labels=None):
+    """Tied, weighted data of ``_HELPER_MIN_N + 5`` rows, some at s* = 0."""
+    rng = np.random.default_rng(seed)
+    n = HELPER_MIN_N + 5
+    labels = rng.integers(0, 2, n) if labels is None else np.full(n, labels)
+    return Dataset(np.round(rng.uniform(-1.0, 1.0, n), 2), labels, rng.uniform(0.05, 2.0, n))
+
+
+def report_fields(dataset, spec, build=report):
+    """Every field of ``build``'s report as exact text, or the error it raised."""
+    try:
+        rep = build(dataset, spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {key: None if value is None else value.hex() for key, value in rep.as_dict().items()}
+
+
+def sequential_report(dataset, spec):
+    """``report`` as first written: rank, then sweep the scores, one after the other."""
+    view = rank_by_confidence(dataset, spec)
+    try:
+        sweep = metrics._score_sweep(dataset)
+    except SingleClassError:
+        sweep = None
+    return metrics._report(view, sweep)
+
+
+def sequential_fields(dataset, spec):
+    return report_fields(dataset, spec, sequential_report)
+
+
+def eval_outputs(directory: Path, dataset):
+    """``lxcim eval --output json --curves-dir`` on the dataset as a CSV: the exit code and the curve files."""
+    directory.mkdir()
+    write_prediction_file(directory / "data.csv", dataset)
+    code = main(["eval", "--input", str(directory / "data.csv"), "--output", "json",
+                 "--curves-dir", str(directory / "curves")])
+    files = {p.name: p.read_bytes() for p in sorted((directory / "curves").iterdir())}
+    return code, files
+
+
+class TestReportReference:
+    """``report`` and ``lxcim eval`` on both paths against the sequential body, bit for bit."""
+
+    def test_tied_weighted_and_at_threshold(self, verify_path, spec0):
+        for d in tied_weighted_corpus(71, 80):
+            assert report_fields(d, spec0) == sequential_fields(d, spec0)
+
+    def test_above_the_helper_size_by_default(self, monkeypatch, spec0):
+        monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
+        d = above_the_helper_size(75)
+        assert report_fields(d, spec0) == sequential_fields(d, spec0)
+
+    def test_one_class_above_the_helper_size(self, monkeypatch, spec0):
+        monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
+        d = above_the_helper_size(76, labels=1)
+        rep = report(d, spec0)
+        assert rep.auroc is None
+        assert report_fields(d, spec0) == sequential_fields(d, spec0)
+
+    def test_eval_matches_the_sequential_path(self, monkeypatch, tmp_path, capsys, verify_path):
+        datasets = [*tied_weighted_corpus(77, 4), above_the_helper_size(78), above_the_helper_size(79, labels=0)]
+        for k, d in enumerate(datasets):
+            got = eval_outputs(tmp_path / f"path{k}", d), capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(metrics, "_HELPER_MIN_N", 2**62)
+                want = eval_outputs(tmp_path / f"reference{k}", d), capsys.readouterr()
+            assert got == want
+            assert got[0][0] == 0 and len(got[0][1]) in (4, 6)  # no ROC files for one class
 
 
 def _no_nan(s):
@@ -498,20 +575,47 @@ class TestHelperThread:
             seen.add(threading.get_ident())
             return -s
 
-        sweep = verify._sweep
+        sweep = metrics._sweep
 
         def recording_sweep(*args):
             sweeps.add(threading.get_ident())
             return sweep(*args)
 
-        monkeypatch.setattr(verify, "_sweep", recording_sweep)
+        for module in (metrics, verify):
+            monkeypatch.setattr(module, "_sweep", recording_sweep)
         spec = DecisionSpec(0.0, confidence, reflect)
-        for d in tied_weighted_corpus(74, 10):
-            verify_doubling_identity(d, spec)
-            verify_crossing_point(d, spec)
         caller = threading.get_ident()
-        assert seen == {caller}
-        assert (caller in sweeps) == (verify_path == "sequential") and len(sweeps) >= 1
+        for call in (report, verify_doubling_identity, verify_crossing_point):
+            seen.clear()
+            sweeps.clear()
+            for d in tied_weighted_corpus(74, 10):
+                call(d, spec)
+            assert seen == {caller}
+            assert (caller in sweeps) == (verify_path == "sequential") and len(sweeps) >= 1
+
+    def test_report_raises_the_map_error_after_the_join(self, verify_path):
+        threads = threading.active_count()
+        spec = DecisionSpec(0.0, lambda s: np.where(s > 0.6, np.nan, np.abs(s)), np.negative)
+        with pytest.raises(NonFiniteMapError, match="confidence map produced non-finite values"):
+            report(Dataset([0.5, 0.75, -1.0, 0.25], [1, 0, 1, 0]), spec)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("call", [report, verify_doubling_identity, verify_crossing_point])
+    def test_both_steps_raise_in_the_sequential_order(self, monkeypatch, verify_path, call):
+        # report ranks first and the verifiers sweep first, on either path
+        class SweepError(Exception):
+            pass
+
+        def failing_sweep(*args):
+            raise SweepError
+
+        for module in (metrics, verify):
+            monkeypatch.setattr(module, "_sweep", failing_sweep)
+        threads = threading.active_count()
+        spec = DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative)
+        with pytest.raises(NonFiniteMapError if call is report else SweepError):
+            call(Dataset([0.5, -0.75, 0.25], [1, 0, 0]), spec)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "data, spec",
@@ -553,8 +657,8 @@ class TestHelperThread:
         d = Dataset([0.5, -0.25, 0.75, -1.0, 0.125], [1, 0, 0, 1, 1], [1e308] * 5)
         sweeps = {}
         for path, size in (("sequential", 2**62), ("helper", 1)):
-            monkeypatch.setattr(verify, "_HELPER_MIN_N", size)
-            monkeypatch.setattr(verify, "_two_cpus", lambda: True)
+            monkeypatch.setattr(metrics, "_HELPER_MIN_N", size)
+            monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
             with np.errstate(over="ignore"):
                 _, sweeps[path] = verify._rank_and_sweep_doubled(d, spec0)
         assert np.isinf(sweeps["helper"][0][-1])
