@@ -137,6 +137,18 @@ class TestEval:
         assert captured.out == ""
         assert f"{path}: row 2: {key} must be finite" in captured.err
 
+    def test_jsonl_byte_order_mark_is_skipped(self, d0_csv, tmp_path, capsys):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(
+            b"\xef\xbb\xbf" + b"".join(
+                b'{"score": %d, "label": %d}\n' % pair for pair in ((-4, 0), (-3, 1), (1, 0), (2, 1))
+            )
+        )
+        assert run(["eval", "--input", path, "--format", "jsonl", "--output", "json"]) == 0
+        assert run(["eval", "--input", d0_csv, "--output", "json"]) == 0
+        with_bom, from_csv = capsys.readouterr().out.splitlines()
+        assert with_bom == from_csv
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("output", ["json", "table"])
     @pytest.mark.parametrize("weight", ["1e300", "1e308"], ids=["metric-overflow", "total-overflow"])

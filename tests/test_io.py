@@ -1,10 +1,16 @@
+import codecs
 import csv
 import io
 import json
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lxcim.io
 from lxcim import (
     Curve,
     CurveKind,
@@ -14,11 +20,22 @@ from lxcim import (
     ParseError,
     PredictionFileError,
     UnknownLabelError,
+    cumulative_accuracy_curve,
+    duplicate_dataset,
     ingest,
+    make_abs_spec,
+    roc_curve,
     write_curve_csv,
     write_prediction_file,
 )
-from lxcim.io import PredictionColumns, _NotUtf8, _utf8_lines, build_dataset, read_prediction_rows
+from lxcim.io import (
+    PredictionColumns,
+    _NotUtf8,
+    _read_by_rows,
+    _utf8_lines,
+    build_dataset,
+    read_prediction_rows,
+)
 
 from conftest import random_dataset
 
@@ -26,6 +43,20 @@ from conftest import random_dataset
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_by_rows(path, format="csv"):
+    with open(path, "rb") as handle:
+        return _read_by_rows(handle, str(path), format)
+
+
+class ByRows:
+    """Mixed into a test class: its cases read files with the row reference,
+    through ``lxcim.io.read_prediction_rows`` (which ``ingest`` calls too)."""
+
+    @pytest.fixture(autouse=True)
+    def by_rows(self, monkeypatch):
+        monkeypatch.setattr(lxcim.io, "read_prediction_rows", read_by_rows)
 
 
 class TestCsvIngest:
@@ -158,6 +189,28 @@ class TestJsonlIngest:
         assert err.value.row == 2
         assert f"{key} must be" in str(err.value)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        read = lxcim.io.read_prediction_rows
+        text = '{"score": 2.0, "label": "a"}\r\n{"score": -1.0, "label": "b", "weight": 3}\n'
+        plain = read(write(tmp_path / "plain.jsonl", text), "jsonl")
+        for data in (codecs.BOM_UTF8 + text.encode(), codecs.BOM_UTF8 + b"\n \n" + text.encode()):
+            (tmp_path / "bom.jsonl").write_bytes(data)
+            rows = read(tmp_path / "bom.jsonl", "jsonl")
+            assert rows.labels == plain.labels
+            assert rows.scores.tobytes() == plain.scores.tobytes()
+            assert rows.weights.tobytes() == plain.weights.tobytes()
+
+    def test_byte_order_mark_past_the_start_is_invalid(self, tmp_path):
+        read = lxcim.io.read_prediction_rows
+        # only the first character of the file may be a byte order mark
+        for data in (
+            codecs.BOM_UTF8 * 2 + b'{"score": 1, "label": "a"}\n',
+            b'{"score": 1, "label": "a"}\n' + codecs.BOM_UTF8 + b'{"score": 2, "label": "a"}\n',
+        ):
+            (tmp_path / "bom.jsonl").write_bytes(data)
+            with pytest.raises(ParseError, match="invalid JSON: Unexpected UTF-8 BOM"):
+                read(tmp_path / "bom.jsonl", "jsonl")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -261,7 +314,7 @@ class TestUnreadableText:
     def test_header_has_no_row(self, tmp_path):
         for data in (b"sc\xffore,label\n1,a\n", b'score,label,"' + b"x" * 200_000 + b'"\n1,a,b\n'):
             with pytest.raises(ParseError) as err:
-                read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
+                lxcim.io.read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
             assert err.value.row is None and "header" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -278,18 +331,18 @@ class TestUnreadableText:
     def test_first_bad_row_decides(self, tmp_path, data, error, row):
         # the decoder reads ahead of the parser; the earlier problem still wins
         with pytest.raises(error) as err:
-            read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
+            lxcim.io.read_prediction_rows(self.write_bytes(tmp_path / "p.csv", data))
         assert type(err.value) is error and err.value.row == row
 
     def test_jsonl_row(self, tmp_path):
         data = b'{"score": 1, "label": "a"}\n\n{"score": 2, "label": "\xe9"}\n'
         with pytest.raises(ParseError) as err:
-            read_prediction_rows(self.write_bytes(tmp_path / "p.jsonl", data), "jsonl")
+            lxcim.io.read_prediction_rows(self.write_bytes(tmp_path / "p.jsonl", data), "jsonl")
         assert err.value.row == 2 and "not UTF-8 text: byte 0xe9" in str(err.value)
 
     def test_utf8_text_reads_as_before(self, tmp_path):
         path = self.write_bytes(tmp_path / "p.csv", "score,label\r\n1,é\r-1,ü\n".encode("utf-8"))
-        assert read_prediction_rows(path).labels == ["é", "ü"]
+        assert lxcim.io.read_prediction_rows(path).labels == ["é", "ü"]
 
     def test_lines_match_text_mode_at_every_block_size(self):
         # CRLF, CR and LF ends, a multi-byte character, a long line and no final line end,
@@ -306,6 +359,193 @@ class TestUnreadableText:
             with pytest.raises(_NotUtf8, match="byte 0xe9"):
                 lines.extend(_utf8_lines(io.BytesIO(data), size))
             assert lines == ["a\r\n", "b\r", "x" * 20 + "\n"], size
+
+
+# cells and JSON values for generated files: the first list of each pair
+# valid, the second not.  Half of the files are drawn from valid items only,
+# the other half with at most one invalid item, so that the first bad row is
+# often the only one, and a reader that accepts it shows
+BLANKS = ["", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", " \x0c "]
+CSV_HEADERS = (
+    ["score,label", "score,label,weight", "label,weight,score", " Score ,LABEL,extra",
+     "\ufeffscore,label,weight", '"score","label"'],
+    ["score,lbl", ""],
+)
+CSV_CELLS = {
+    "score": (["1", "-2.5", "0", "-0.0", " 3 ", "1_0", "5e-324", "1e16", "2.2250738585072014e-308",
+               "\x0b4\xa0"], ["1e400", "nan", "-inf", "abc", ""]),
+    "label": (["a", "b", " a ", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", "\u2028a", "é",
+               "\ufeffa", 'a"b'], ["", "  "]),
+    "weight": (["1", "2.5", "", " ", "1e-300"], ["0", "-1", "x", "inf", "1e400"]),
+    "": (["z", ""], []),
+}
+JSON_VALUES = {
+    "score": (["1", "-2.5", "0", "-0.0", "5e-324", "1e16", "12345678901234567890"],
+              ["1e400", "1" + "0" * 400, "-1" + "0" * 400, "NaN", "-Infinity", '"1.5"', "true",
+               "null", "[1]"]),
+    "label": (['"a"', '"b"', '" a "', "1", "0", "1.5", "-0.0", "1e400", '"\\u2028a"', '"\u2028b"',
+               '"\u00e9"', '"x\\"y"'], ['""', '"  "', "true", "null", "[]", "{}"]),
+    "weight": (["1", "2.5", "null"], ["0", "-1", '"2"', "false", "1e400"]),
+}
+JSON_JUNK = ["{bad}", "[1, 2]", "1", '"text"', '{"score": 1,', "}", "\ufeff{}"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def pick(draw, pools, invalid):
+    """An item of ``pools``; while ``invalid[0]`` is set, perhaps the invalid one it then spends."""
+    good, bad = pools
+    if bad and invalid[0] and draw(st.integers(0, 3)) == 0:
+        invalid[0] = False
+        return draw(st.sampled_from(bad))
+    return draw(st.sampled_from(good))
+
+
+@st.composite
+def csv_files(draw, invalid):
+    header = pick(draw, CSV_HEADERS, invalid)
+    names = [cell.strip().lower().lstrip("\ufeff").strip('"') for cell in header.split(",")]
+    names = [name if name in CSV_CELLS else "" for name in names]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = pick(draw, (["row"] * 6 + ["blank"], ["short", "long"]), invalid)
+        if kind == "blank":
+            lines.append(",".join(draw(st.lists(st.sampled_from(BLANKS), min_size=1, max_size=3))))
+            continue
+        width = len(names) - (kind == "short") + (kind == "long")
+        cells = [pick(draw, CSV_CELLS[names[i] if i < len(names) else ""], invalid) for i in range(width)]
+        quote = draw(st.booleans())
+        lines.append(",".join(
+            '"' + cell.replace('"', '""') + '"' if quote or any(c in cell for c in ',"\r\n') else cell
+            for cell in cells
+        ))
+    return lines
+
+
+@st.composite
+def jsonl_files(draw, invalid):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = pick(draw, (["object"] * 8 + ["blank"], ["junk"]), invalid)
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANKS)))
+            continue
+        if kind == "junk":
+            lines.append(draw(st.sampled_from(JSON_JUNK)))
+            continue
+        keys = draw(st.lists(st.sampled_from(["score", "label", "weight"]), max_size=3))
+        if pick(draw, ([True], [False]), invalid):
+            keys = ["score", "label", *keys]  # both required keys, some repeated
+        pairs = [f'"{key}": {pick(draw, JSON_VALUES[key], invalid)}' for key in keys]
+        space = pick(draw, (["", " ", "\t ", " \r"], ["\x0b", "\xa0", "\x1c", "\u2028"]), invalid)
+        after = pick(draw, (["", " ", "\t"], [" x", "}", "{}", ","]), invalid)
+        lines.append(space + "{" + ", ".join(pairs) + "}" + after)
+    return lines
+
+
+@st.composite
+def file_bytes(draw, fmt):
+    invalid = [draw(st.booleans())]
+    lines = draw(csv_files(invalid) if fmt == "csv" else jsonl_files(invalid))
+    data = bytearray("".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines).encode())
+    if draw(st.integers(0, 7)) == 0:
+        data[:0] = codecs.BOM_UTF8
+    if data and pick(draw, ([False], [True]), invalid):
+        data.insert(draw(st.integers(0, len(data))), draw(st.sampled_from([0xFF, 0xE9, 0x80])))
+    return bytes(data)
+
+
+def outcome(read, path, fmt):
+    try:
+        rows = read(path, fmt)
+    except PredictionFileError as exc:
+        return type(exc), exc.row, str(exc)
+    return rows.scores.tobytes(), rows.labels, rows.weights.tobytes()
+
+
+class TestColumnsMatchRows:
+    """Reading by columns accepts and rejects what the row reference does.
+
+    An accepted file gives the same column bytes, a rejected one the same
+    error class, row and message, at several block sizes.
+    """
+
+    @given(st.sampled_from([1, 2, 3, 4096]), st.data())
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_same_outcome(self, tmp_path_factory, fmt, block, data):
+        path = tmp_path_factory.mktemp("differential") / f"p.{fmt}"
+        path.write_bytes(data.draw(file_bytes(fmt)))
+        with mock.patch.object(lxcim.io, "_BLOCK_ROWS", block):
+            assert outcome(read_prediction_rows, path, fmt) == outcome(read_by_rows, path, fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("csv", 'score,label,weight\r\n1,"a\r\nb",\r\n\x0b, ,\n\xa0\r-2,b,2,extra\n'),
+            ("csv", "label,score\n a ,1_0\n\n\n b,-0.0\r"),
+            ("jsonl", '{"score": 1, "label": "a", "weight": null}\r\n\x1c\n\u2028\r'
+                      ' {"score": 12345678901234567890, "label": 7, "label": "b", "weight": 2}\t\n'),
+            ("jsonl", '{"score": -0.0, "label": 1.5}\n{"score": 1e-300, "label": "\u2028x"}'),
+        ],
+        ids=["csv-quoted-and-blank", "csv-reordered", "jsonl-null-weight-and-blank", "jsonl-no-final-end"],
+    )
+    def test_irregular_but_valid_files_read_by_columns(self, tmp_path, monkeypatch, fmt, text):
+        # the row reader runs only to name a bad row, never for a valid file
+        path = write(tmp_path / f"p.{fmt}", text)
+        expected = outcome(read_by_rows, path, fmt)
+        assert isinstance(expected[0], bytes)
+
+        def fail(*args):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(lxcim.io, "_read_by_rows", fail)
+        assert outcome(read_prediction_rows, path, fmt) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by its /dev/fd path")
+class TestPipe:
+    """A file that cannot seek is read into memory once, so its error still names its row."""
+
+    def read_pipe(self, data, fmt):
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        try:
+            return read_prediction_rows(f"/dev/fd/{read_end}", fmt)
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bad_row_is_named(self, fmt):
+        data = (b"score,label\n1,a\nabc,b\n" if fmt == "csv"
+                else b'{"score": 1, "label": "a"}\n{"score": "abc", "label": "b"}\n')
+        with pytest.raises(ParseError) as err:
+            self.read_pipe(data, fmt)
+        assert err.value.row == 2 and "score" in str(err.value)
+
+    def test_valid_file_reads_as_from_disk(self, tmp_path):
+        data = b"score,label,weight\r\n1.5,a,\r\n-2,b,3\r\n"
+        (tmp_path / "p.csv").write_bytes(data)
+        assert outcome(lambda path, fmt: self.read_pipe(data, fmt), None, "csv") == outcome(
+            read_prediction_rows, tmp_path / "p.csv", "csv"
+        )
+
+
+class TestJsonlIngestByRows(ByRows):
+    test_byte_order_mark_is_skipped = TestJsonlIngest.test_byte_order_mark_is_skipped
+    test_byte_order_mark_past_the_start_is_invalid = (
+        TestJsonlIngest.test_byte_order_mark_past_the_start_is_invalid
+    )
+
+
+class TestRowNumbersByRows(ByRows, TestRowNumbers):
+    pass
+
+
+class TestUnreadableTextByRows(ByRows, TestUnreadableText):
+    # these two test the line decoder, and read no file
+    test_lines_match_text_mode_at_every_block_size = None
+    test_bad_line_fails_after_the_lines_before_it = None
 
 
 class TestBuildDataset:
@@ -383,12 +623,75 @@ class TestWrittenBytes:
         reference_curve_csv(tmp_path / "theirs.csv", curve)
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
 
+    def test_signed_nan_curve_matches_row_writer(self, tmp_path):
+        # a NaN's repr has no sign, whatever its sign bit; roc_curve gives NaN on one class
+        xs = np.array([0.0, 1.0, np.nan, -np.nan])
+        curve = Curve(CurveKind.ACC_RATE, xs, np.array([-np.nan, -np.inf, np.nan, -0.0]))
+        write_curve_csv(tmp_path / "ours.csv", curve)
+        reference_curve_csv(tmp_path / "theirs.csv", curve)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
     def test_empty_dataset_writes_header_only(self, tmp_path):
         d = Dataset([], [])
         for fmt in ("csv", "jsonl"):
             write_prediction_file(tmp_path / f"ours.{fmt}", d, fmt)
             reference_prediction_file(tmp_path / f"theirs.{fmt}", d, fmt)
             assert (tmp_path / f"ours.{fmt}").read_bytes() == (tmp_path / f"theirs.{fmt}").read_bytes()
+
+    # more than 2**12 rows, so that the files span several write blocks and no
+    # size cut-off could keep them from the one-text-per-magnitude path
+    LARGE = 5000
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 2.2250738585072014e-308, -1.3626318486375751e-292]
+
+    @classmethod
+    def large_dataset(cls, kind):
+        rng = np.random.default_rng(17)
+        if kind == "duplicate":
+            return duplicate_dataset(random_dataset(rng, cls.LARGE), make_abs_spec(0.0))
+        if kind == "uniform-weights":
+            return random_dataset(rng, cls.LARGE, weighted=False)
+        edge = rng.choice(cls.EDGE, cls.LARGE)
+        scores = np.where(rng.random(cls.LARGE) < 0.5, edge, rng.normal(size=cls.LARGE))
+        weights = rng.choice([5e-324, 1e16, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0], cls.LARGE)
+        return Dataset(scores, rng.integers(0, 2, cls.LARGE), weights)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", ["duplicate", "uniform-weights", "signed-zeros-and-extremes"])
+    def test_large_prediction_file_matches_row_writer(self, tmp_path, fmt, kind):
+        d = self.large_dataset(kind)
+        assert len(d) >= 2**12
+        write_prediction_file(tmp_path / f"ours.{fmt}", d, fmt, "cause", 'eff,"ect')
+        reference_prediction_file(tmp_path / f"theirs.{fmt}", d, fmt, "cause", 'eff,"ect')
+        assert (tmp_path / f"ours.{fmt}").read_bytes() == (tmp_path / f"theirs.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["roc", "cumulative"])
+    def test_tied_curves_match_row_writer(self, tmp_path, kind):
+        rng = np.random.default_rng(23)
+        d = random_dataset(rng, self.LARGE)
+        tied = Dataset(np.round(d.scores, 1), d.labels, d.weights)
+        curve = roc_curve(tied) if kind == "roc" else cumulative_accuracy_curve(tied, make_abs_spec(0.0))
+        write_curve_csv(tmp_path / "ours.csv", curve)
+        reference_curve_csv(tmp_path / "theirs.csv", curve)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
+
+def test_peak_memory_is_a_few_columns(tmp_path):
+    # writing and reading 2**16 rows keeps less than five times the columns read
+    # back (two float arrays and the label list) alive at once; the text of the
+    # whole file, or a Python object per cell, would not fit
+    data = random_dataset(np.random.default_rng(3), 2**16)
+    peaks = []
+    for fmt in ("csv", "jsonl"):
+        tracemalloc.start()
+        try:
+            write_prediction_file(tmp_path / f"p.{fmt}", data, fmt)
+            rows = read_prediction_rows(tmp_path / f"p.{fmt}", fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rows.scores.tobytes() == data.scores.tobytes()
+    columns = rows.scores.nbytes + rows.weights.nbytes + 8 * len(rows.labels)
+    assert max(peaks) < 5 * columns
 
 
 class TestCurveCsv:
