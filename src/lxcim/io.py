@@ -197,8 +197,8 @@ def _read_jsonl(lines, path: str, scores: list, labels: list, weights: list) -> 
             row = len(labels) + 1
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=path, row=row) from None
+            except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
+                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, row=row) from None
             if not isinstance(obj, dict):
                 raise ParseError("each line must be a JSON object", path=path, row=row)
             if "score" not in obj or "label" not in obj:

@@ -341,30 +341,46 @@ class RankedView:
     group_ends: np.ndarray
 
 
-# From this many samples on, sorting by weight first and then radix-sorting the
-# narrow keys beats one lexsort over a float key (crossover near 200 on a
-# 2-core x86 VM with numpy 2.4)
+# From this many samples on, sorting by weight first beats one lexsort.  Over
+# 200 different 2-decimal datasets a size (2-core x86 VM, numpy 2.4), lexsort
+# against weight first took, with distinct weights, 7.7 / 7.6 us at 128 rows,
+# 13.3 / 9.4 at 256 and 25.1 / 13.7 at 512; with equal weights, which weight
+# first sorts in vain before its lexsort, 4.8 / 7.3 at 128 and 6.1 / 8.6 at 256
 _WEIGHT_FIRST_MIN_N = 256
 
 
-def _canonical_ties(order, new_group, correct, predicted, weights) -> np.ndarray:
+def _canonical_ties(order, new_group, groups, correct, predicted, weights) -> np.ndarray:
     """Put tied samples in the canonical suborder of :class:`RankedView`.
 
-    ``order`` sorts by descending confidence with ties in any order, and
-    ``new_group`` marks where its confidence changes.  The result sorts by
-    (group, correctness, weight, side, position).
+    ``order`` sorts by descending confidence with ties in any order,
+    ``new_group`` marks where its confidence changes and ``groups`` counts the
+    tie groups.  The result sorts by (group, correctness, weight, side,
+    position).  Numpy's stable sort radix-sorts 8- and 16-bit integers, so with
+    distinct weights one key, ``2·group + correct`` in the narrowest unsigned
+    type that holds ``2·groups - 1``, orders the weight-sorted samples in one
+    pass.  Past 32768 groups correctness and the group ids' 16-bit pieces take
+    a pass each instead.  Few samples or repeated weights take one lexsort.
     """
-    group_id = new_group.cumsum()
-    group = np.zeros(len(order), dtype=np.min_scalar_type(group_id[-1]))
-    group[order[1:]] = group_id
-    if len(order) >= _WEIGHT_FIRST_MIN_N:
-        # with all weights distinct, any sort by weight is the canonical one,
-        # and boolean and narrow integer keys get numpy's stable radix sort
-        by_weight = weights.argsort()
-        sorted_weights = weights[by_weight]
-        if (sorted_weights[1:] != sorted_weights[:-1]).all():
-            return by_weight[np.lexsort((correct[by_weight], group[by_weight]))]
-    return np.lexsort((predicted, weights, correct, group))
+    n = len(order)
+    combine = n >= _WEIGHT_FIRST_MIN_N and groups <= 32768
+    top = 2 * groups - 1 if combine else groups - 1  # the largest key
+    dtype = np.uint8 if top < 256 else np.uint16 if top < 65536 else np.min_scalar_type(top)
+    key = np.zeros(n, dtype)
+    key[order[1:]] = np.cumsum(new_group, dtype=dtype)
+    if n < _WEIGHT_FIRST_MIN_N:
+        return np.lexsort((predicted, weights, correct, key))
+    if combine:
+        key += key
+        key += correct
+        keys = (key,)
+    else:
+        keys = (correct, *((key >> s).astype(np.uint16, copy=False) for s in range(0, 8 * key.itemsize, 16)))
+    by_weight = weights.argsort()
+    sorted_weights = weights[by_weight]
+    if (sorted_weights[1:] != sorted_weights[:-1]).all():
+        # with all weights distinct, any sort by weight is the canonical one
+        return by_weight[np.lexsort([k[by_weight] for k in keys])]
+    return np.lexsort((predicted, weights, *keys))
 
 
 def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
@@ -392,28 +408,19 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     predicted = scores > spec.s_star
     correct_all = predicted == dataset.labels.astype(bool)
     new_group = conf_r[1:] != conf_r[:-1]
-    if np.count_nonzero(new_group) == n - 1:  # no two confidences tie
+    groups = np.count_nonzero(new_group) + 1
+    if groups == n:  # no two confidences tie
         group_ends = np.arange(1, n + 1)
     else:
         # wrong before right and light before heavy: exchanges preserve both
         # keys, so tied samples land on the same boundaries after any exchange
-        order = _canonical_ties(order, new_group, correct_all, predicted, dataset.weights)
+        order = _canonical_ties(order, new_group, groups, correct_all, predicted, dataset.weights)
         last = np.empty(n, dtype=bool)  # the last sample of each tie group
         last[:-1], last[-1] = new_group, True
         group_ends = last.nonzero()[0] + 1
     weight_r = dataset.weights[order]
     correct = correct_all[order]
-
-    cum_weight = weight_r.cumsum()
-    cum_correct = (weight_r * correct).cumsum()
-
-    for arr in (order, correct, weight_r, cum_weight, cum_correct, group_ends):
+    view = RankedView(order, correct, weight_r, weight_r.cumsum(), (weight_r * correct).cumsum(), group_ends)
+    for arr in vars(view).values():
         arr.setflags(write=False)
-    return RankedView(
-        order=order,
-        correct=correct,
-        weight=weight_r,
-        cum_weight=cum_weight,
-        cum_correct_weight=cum_correct,
-        group_ends=group_ends,
-    )
+    return view

@@ -137,6 +137,18 @@ class TestEval:
         assert captured.out == ""
         assert f"{path}: row 2: {key} must be finite" in captured.err
 
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["digits", "nesting"])
+    def test_json_the_parser_refuses_is_data_error(self, tmp_path, capsys, value):
+        # not exit 2 (usage) for the int-string digit limit, nor exit 1 and a
+        # traceback for a RecursionError: both are invalid JSON, exit 3
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"score": -1, "label": 0}\n{"score": %s, "label": 1}\n' % value, encoding="utf-8")
+        assert run(["eval", "--input", path, "--format", "jsonl"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"lxcim: {path}: row 2: invalid JSON: ")
+        assert "Traceback" not in captured.err
+
     def test_jsonl_byte_order_mark_is_skipped(self, d0_csv, tmp_path, capsys):
         path = tmp_path / "bom.jsonl"
         path.write_bytes(

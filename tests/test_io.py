@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -188,6 +189,19 @@ class TestJsonlIngest:
             ingest(path, "jsonl")
         assert err.value.row == 2
         assert f"{key} must be" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "value,reason",
+        [("1" * 5000, "Exceeds the limit (4300 digits)"), ("[" * 100_000 + "]" * 100_000, "maximum recursion depth")],
+        ids=["5000-digit-integer", "nested-1e5-deep"],
+    )
+    def test_value_json_cannot_parse_is_parse_error(self, tmp_path, value, reason):
+        # json.loads raises a bare ValueError on an integer past Python's
+        # int-string digit limit, and RecursionError on deep nesting
+        path = write(tmp_path / "p.jsonl", '{"score": 1.0, "label": 1}\n{"score": %s, "label": 0}\n' % value)
+        with pytest.raises(ParseError, match="invalid JSON: " + re.escape(reason)) as err:
+            lxcim.io.read_prediction_rows(path, "jsonl")
+        assert err.value.row == 2
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         read = lxcim.io.read_prediction_rows
@@ -532,6 +546,7 @@ class TestPipe:
 
 
 class TestJsonlIngestByRows(ByRows):
+    test_value_json_cannot_parse_is_parse_error = TestJsonlIngest.test_value_json_cannot_parse_is_parse_error
     test_byte_order_mark_is_skipped = TestJsonlIngest.test_byte_order_mark_is_skipped
     test_byte_order_mark_past_the_start_is_invalid = (
         TestJsonlIngest.test_byte_order_mark_past_the_start_is_invalid

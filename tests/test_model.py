@@ -620,6 +620,15 @@ def _oracle_dataset(kind, n, seed):
     raise AssertionError(kind)
 
 
+def _grouped_dataset(n, groups, distinct_weights, seed=0):
+    """``n`` rows in exactly ``groups`` tie groups, the first at the threshold 0."""
+    rng = np.random.default_rng(seed)
+    level = rng.permutation(np.concatenate((np.arange(groups), rng.integers(0, groups, n - groups))))
+    scores = rng.choice([-1.0, 1.0], n) * level / 64.0
+    weights = rng.uniform(0.05, 2.0, n) if distinct_weights else rng.choice([0.5, 1.0, 1.5], n)
+    return Dataset(scores, rng.integers(0, 2, n), weights)
+
+
 class TestRankingOracle:
     """The ranking is the 5-key lexsort's, array for array and bit for bit."""
 
@@ -667,3 +676,29 @@ class TestRankingOracle:
         assert len(view.group_ends) > (256 if decimals == 4 else 65536)
         assert np.any(np.diff(view.group_ends) > 1)
         self.assert_matches(d, spec0)
+
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct-weights", "repeated-weights"])
+    @pytest.mark.parametrize(
+        "groups,n",
+        [(128, 1000), (129, 1000), (32768, 40_000), (32769, 40_000), (65536, 80_000), (65537, 80_000)],
+        ids=["128-groups", "129-groups", "32768-groups", "32769-groups", "65536-groups", "65537-groups"],
+    )
+    def test_matches_lexsort_at_key_widths(self, groups, n, distinct, spec0):
+        # 2·group + correct fits 8 bits up to 128 groups and 16 bits up to
+        # 32768; past that, correctness and the group ids are sorted apart,
+        # the ids in one 16-bit piece up to 65536 groups and in two past it
+        d = _grouped_dataset(n, groups, distinct)
+        assert (len(np.unique(d.weights)) == n) == distinct
+        assert len(rank_by_confidence(d, spec0).group_ends) == groups
+        self.assert_matches(d, spec0)
+
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct-weights", "repeated-weights"])
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("full", [False, True], ids=["100-groups", "n-1-groups"])
+    def test_matches_lexsort_around_weight_first_size(self, n, full, distinct, spec0):
+        # below 256 rows one lexsort orders the ties; from 256 the weights are sorted first
+        groups = n - 1 if full else 100
+        for seed in range(3):
+            d = _grouped_dataset(n, groups, distinct, seed)
+            assert len(rank_by_confidence(d, spec0).group_ends) == groups
+            self.assert_matches(d, spec0)
