@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteMapError,
 )
 from .metrics import ConfusionMatrix
-from .model import _CHECK_TOLERANCE, Dataset, DecisionSpec, _whole_number
+from .model import _CHECK_TOLERANCE, Dataset, DecisionSpec, _sharing_weight_order, _WeightOrder, _whole_number
 
 __all__ = [
     "ExchangeMask",
@@ -93,7 +93,8 @@ class ExchangeMask:
         return len(self.indices)
 
     def __contains__(self, item) -> bool:
-        return item in self.indices
+        # a boolean is no position, as in the constructor, though numpy compares True equal to 1
+        return np.asarray(item).dtype != bool and item in self.indices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMask):
@@ -124,34 +125,39 @@ def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
         )
     take = np.zeros(len(dataset), dtype=bool)
     take[idx] = True
-    return _exchange(dataset, take, _mirror(dataset, spec))
+    mirror, fixed, finite = _mirror(dataset, spec)
+    return _exchange(dataset, take, mirror, finite, ~fixed)
 
 
 def _mirror(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scores and labels of the full exchange, and whether those scores are all finite.
+    """Scores of the full exchange, the samples at the threshold, and whether those scores are all finite.
 
     A sample at the threshold is its own exchange.  A user's reflection map
     can overflow; then only exchanges that take a non-finite score are
     refused (see :func:`_exchange`).
     """
-    scores, labels = dataset.scores, dataset.labels
+    scores = dataset.scores
     fixed = scores == spec.s_star
     mirror = np.where(fixed, scores, spec.reflect_at(scores))
-    return mirror, np.where(fixed, labels, 1 - labels), bool(np.isfinite(mirror).all())
+    return mirror, fixed, bool(np.isfinite(mirror).all())
 
 
 def _exchange(
-    dataset: Dataset, take: np.ndarray, mirror: tuple[np.ndarray, np.ndarray, bool]
+    dataset: Dataset, take: np.ndarray, mirror: np.ndarray, finite: bool, flip: np.ndarray,
+    weight_order: _WeightOrder | None = None,
 ) -> Dataset:
-    """Exchange the samples where the bool array ``take`` is set, from their ``_mirror``.
+    """Exchange the samples where the bool array ``take`` is set, from the ``_mirror`` scores.
 
-    The result shares the weights and is built without re-validation, since
-    flipped 0/1 labels stay 0/1; only non-finite mirror scores are looked for.
+    ``flip`` marks the samples off the threshold, whose labels an exchange
+    flips.  The result shares the weights, and ``weight_order`` when given,
+    and is built without re-validation, since 0/1 labels XOR a bool stay
+    0/1; only non-finite mirror scores are looked for.
     """
-    scores = np.where(take, mirror[0], dataset.scores)
-    if not mirror[2] and not np.isfinite(scores).all():
+    scores = np.where(take, mirror, dataset.scores)
+    if not finite and not np.isfinite(scores).all():
         raise NonFiniteMapError("scores must all be finite")
-    return Dataset._from_valid(scores, np.where(take, mirror[1], dataset.labels), dataset.weights)
+    labels = dataset.labels ^ (take & flip)
+    return Dataset._from_valid(scores, labels, dataset.weights, weight_order)
 
 
 def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
@@ -162,12 +168,13 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
-    scores, labels, finite = _mirror(dataset, spec)
+    scores, fixed, finite = _mirror(dataset, spec)
     if not finite:
         raise NonFiniteMapError("scores must all be finite")
+    labels = dataset.labels
     return Dataset._from_valid(
         np.concatenate((dataset.scores, scores)),
-        np.concatenate((dataset.labels, labels)),
+        np.concatenate((labels, np.where(fixed, labels, 1 - labels))),
         np.concatenate((dataset.weights, dataset.weights)),
     )
 
@@ -243,16 +250,24 @@ def check_rank_lxc_invariance(
     takes each sample from the original or from that mirror, without
     re-checking the arrays (see ``Dataset._from_valid``).  An
     ``ExchangeMask`` is built only for the witness.
+
+    From 256 samples the exchanged datasets, and an uncopied twin of
+    ``dataset`` for the baseline, share one lazily sorted weight order for
+    their tied rankings, so a check sorts the weights at most once.  That is
+    not circular: an exchange keeps the weights array itself, and nothing
+    derived from scores or labels is shared.  ``dataset`` is left untouched.
     """
-    baseline, trials, seed = _baseline(metric, dataset, trials, seed)
-    rng = np.random.default_rng(seed)
     n = len(dataset)
-    mirror = _mirror(dataset, spec)
+    data = _sharing_weight_order(dataset)
+    baseline, trials, seed = _baseline(metric, data, trials, seed)
+    rng = np.random.default_rng(seed)
+    mirror, fixed, finite = _mirror(dataset, spec)
+    flip = ~fixed
     max_deviation = 0.0
     witness: ExchangeWitness | None = None
     for trial in range(trials):
         take = rng.random(n) < 0.5
-        exchanged = _exchange(dataset, take, mirror)
+        exchanged = _exchange(dataset, take, mirror, finite, flip, data._weight_order)
         try:
             value = float(metric(exchanged))
         except NonFiniteMapError:

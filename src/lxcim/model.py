@@ -65,12 +65,14 @@ class Dataset:
 
     The constructor copies and checks all three arrays.  Exchanges and
     duplications build their results with :meth:`_from_valid` instead, which
-    skips both: those arrays are valid by construction (labels ``1 - labels``
-    from 0/1, weights shared read-only), and only the reflected scores, which
-    a user's reflection map can overflow, are checked for finiteness there.
+    skips both: those arrays are valid by construction (labels flipped from
+    0/1, weights shared read-only), and only the reflected scores, which a
+    user's reflection map can overflow, are checked for finiteness there.
+    Only :meth:`_from_valid` attaches a ``_WeightOrder`` of the weights, which
+    the exchanged datasets of one invariance check share for their rankings.
     """
 
-    __slots__ = ("scores", "labels", "weights")
+    __slots__ = ("scores", "labels", "weights", "_weight_order")
 
     def __init__(self, scores, labels, weights=None):
         score_arr = _as_float_array(scores, "scores")
@@ -104,21 +106,32 @@ class Dataset:
         self._init_arrays(score_arr, label_arr, weight_arr)
 
     @classmethod
-    def _from_valid(cls, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> "Dataset":
+    def _from_valid(
+        cls, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_order: _WeightOrder | None = None
+    ) -> "Dataset":
         """A dataset over arrays that are valid by construction, neither copied nor checked.
 
         The caller guarantees equal lengths, finite float64 scores, int64 0/1
-        labels and finite positive float64 weights.  The arrays become
-        read-only, so each must be new or already read-only.
+        labels and finite positive float64 weights, and that ``weight_order``,
+        if given, was made from this very ``weights`` array.  The arrays
+        become read-only, so each must be new or already read-only.
         """
         self = object.__new__(cls)
-        self._init_arrays(scores, labels, weights)
+        self._init_arrays(scores, labels, weights, weight_order)
         return self
 
-    def _init_arrays(self, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> None:
-        for name, arr in (("scores", scores), ("labels", labels), ("weights", weights)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def _init_arrays(
+        self, scores: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_order: _WeightOrder | None = None
+    ) -> None:
+        # spelled out, not looped: it runs once per exchanged or duplicated dataset
+        scores.setflags(write=False)
+        labels.setflags(write=False)
+        weights.setflags(write=False)
+        setter = object.__setattr__
+        setter(self, "scores", scores)
+        setter(self, "labels", labels)
+        setter(self, "weights", weights)
+        setter(self, "_weight_order", weight_order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -349,7 +362,49 @@ class RankedView:
 _WEIGHT_FIRST_MIN_N = 256
 
 
-def _canonical_ties(order, new_group, groups, correct, predicted, weights) -> np.ndarray:
+class _WeightOrder:
+    """The ascending order of one weights array when its weights are distinct, sorted on first use.
+
+    With distinct weights every sort by weight is the canonical one, so this
+    order is a function of the weights alone.  An exchange keeps each
+    sample's weight and shares the weights array itself, so the rankings of
+    one check's exchanged datasets can all take their order from one object.
+    It holds nothing derived from scores or labels.
+    """
+
+    __slots__ = ("weights", "_sorted", "_order")
+
+    def __init__(self, weights: np.ndarray):
+        self.weights, self._sorted, self._order = weights, False, None
+
+    def distinct(self) -> np.ndarray | None:
+        """``weights.argsort()``, or None when a weight repeats."""
+        if not self._sorted:
+            self._order, self._sorted = _distinct_weight_order(self.weights), True
+        return self._order
+
+
+def _distinct_weight_order(weights: np.ndarray) -> np.ndarray | None:
+    by_weight = weights.argsort()
+    sorted_weights = weights[by_weight]
+    if (sorted_weights[1:] != sorted_weights[:-1]).all():
+        by_weight.setflags(write=False)
+        return by_weight
+    return None
+
+
+def _sharing_weight_order(dataset: Dataset) -> Dataset:
+    """An uncopied twin of ``dataset`` with a fresh ``_WeightOrder``, for rankings that share its weights.
+
+    Below ``_WEIGHT_FIRST_MIN_N`` samples a ranking sorts no weights apart,
+    so there ``dataset`` itself is returned.
+    """
+    if len(dataset) < _WEIGHT_FIRST_MIN_N:
+        return dataset
+    return Dataset._from_valid(dataset.scores, dataset.labels, dataset.weights, _WeightOrder(dataset.weights))
+
+
+def _canonical_ties(order, new_group, groups, correct, predicted, weights, weight_order) -> np.ndarray:
     """Put tied samples in the canonical suborder of :class:`RankedView`.
 
     ``order`` sorts by descending confidence with ties in any order,
@@ -360,6 +415,8 @@ def _canonical_ties(order, new_group, groups, correct, predicted, weights) -> np
     type that holds ``2·groups - 1``, orders the weight-sorted samples in one
     pass.  Past 32768 groups correctness and the group ids' 16-bit pieces take
     a pass each instead.  Few samples or repeated weights take one lexsort.
+    The weight order is the dataset's ``_WeightOrder``, shared by one check's
+    exchanged datasets, or a fresh one when it carries none.
     """
     n = len(order)
     combine = n >= _WEIGHT_FIRST_MIN_N and groups <= 32768
@@ -375,10 +432,10 @@ def _canonical_ties(order, new_group, groups, correct, predicted, weights) -> np
         keys = (key,)
     else:
         keys = (correct, *((key >> s).astype(np.uint16, copy=False) for s in range(0, 8 * key.itemsize, 16)))
-    by_weight = weights.argsort()
-    sorted_weights = weights[by_weight]
-    if (sorted_weights[1:] != sorted_weights[:-1]).all():
-        # with all weights distinct, any sort by weight is the canonical one
+    if weight_order is None:
+        weight_order = _WeightOrder(weights)
+    by_weight = weight_order.distinct()
+    if by_weight is not None:
         return by_weight[np.lexsort([k[by_weight] for k in keys])]
     return np.lexsort((predicted, weights, *keys))
 
@@ -414,7 +471,9 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     else:
         # wrong before right and light before heavy: exchanges preserve both
         # keys, so tied samples land on the same boundaries after any exchange
-        order = _canonical_ties(order, new_group, groups, correct_all, predicted, dataset.weights)
+        order = _canonical_ties(
+            order, new_group, groups, correct_all, predicted, dataset.weights, dataset._weight_order
+        )
         last = np.empty(n, dtype=bool)  # the last sample of each tie group
         last[:-1], last[-1] = new_group, True
         group_ends = last.nonzero()[0] + 1

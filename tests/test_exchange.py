@@ -30,7 +30,12 @@ from lxcim import (
     make_abs_spec,
     matthews_corrcoef,
     perturb_confusion,
+    rank_by_confidence,
+    report,
 )
+
+from lxcim import model
+from lxcim.model import _WeightOrder
 
 from conftest import random_dataset
 
@@ -135,6 +140,14 @@ class TestExchangeSubset:
         assert mask.indices.dtype == np.int64 and not mask.indices.flags.writeable
         witness = ExchangeWitness(trial=0, mask=mask, value=1.0, error=None)
         assert witness.describe() == "trial 0, mask [0, 2]: value 1.0"
+
+    def test_membership_takes_numbers_not_booleans(self):
+        # booleans are refused as positions, so none is a member, though True == 1 in numpy
+        mask = ExchangeMask([1, 2])
+        assert 1 in mask and 1.0 in mask and np.int64(2) in mask and np.float64(1.0) in mask
+        for flag in (True, False, np.True_, np.False_, np.array(True), np.array(False)):
+            assert flag not in mask
+        assert False not in ExchangeMask([0]) and 0 in ExchangeMask([0])
 
     def test_preserves_size_weight_and_confidence_multiset(self, spec0):
         rng = np.random.default_rng(2)
@@ -397,6 +410,31 @@ class TestCheckOracle:
         assert np.all(oracle_data("tied", 50, 0)[0].weights == 1.0)
         assert len(np.unique(oracle_data("tied", 50, 1)[0].weights)) == 50
 
+    @pytest.mark.parametrize("metric", list(ORACLE_METRICS))
+    @pytest.mark.parametrize("weights", ["distinct", "three-values", "equal"])
+    @pytest.mark.parametrize("kind", ["tied", "at-threshold", "prob"])
+    def test_matches_reference_sharing_the_weight_order(self, kind, weights, metric):
+        # from 256 rows every trial's ranking takes the check's one weight order
+        for seed, n in enumerate((256, 257, 600, 3000)):
+            dataset, spec = oracle_data(kind, n, seed)
+            rng = np.random.default_rng(seed)
+            w = {
+                "distinct": lambda: rng.uniform(0.05, 2.0, n),
+                "three-values": lambda: rng.choice([0.5, 1.0, 1.5], n),
+                "equal": lambda: np.full(n, 0.25),
+            }[weights]()
+            dataset = Dataset(dataset.scores, dataset.labels, w)
+            self.assert_same(ORACLE_METRICS[metric](spec), dataset, spec, trials=4, seed=seed)
+
+    def test_matches_reference_past_32768_tie_groups(self, spec0):
+        # the ranking keys correctness and the group ids' 16-bit pieces apart there
+        rng = np.random.default_rng(32769)
+        n = 80_000
+        scores = rng.choice([-1.0, 1.0], n) * rng.integers(1, 40_000, n) / 64.0
+        dataset = Dataset(scores, rng.integers(0, 2, n), rng.uniform(0.05, 2.0, n))
+        assert len(rank_by_confidence(dataset, spec0).group_ends) > 32768
+        self.assert_same(partial(lxcim, spec=spec0), dataset, spec0, trials=3, seed=5)
+
     def test_single_class_witness(self, spec0):
         # exchanging the negative row leaves one class, where AUROC is undefined
         d = Dataset([1.0, -1.5], [1, 0])
@@ -432,6 +470,82 @@ class TestCheckTrialCost:
         exchange_subset(d0, [0, 2], spec0)
         duplicate_dataset(d0, spec0)
         assert datasets == []
+
+
+def tied_rows(n, seed=0):
+    """``n`` rows of 2-decimal scores with distinct weights: tied, and weight-sorted from 256 rows."""
+    rng = np.random.default_rng(seed)
+    return Dataset(np.round(rng.normal(size=n), 2), rng.integers(0, 2, n), rng.uniform(0.05, 2.0, n))
+
+
+class TestSharedWeightOrder:
+    """A check sorts the weights once for all its trials, and shares nothing else or beyond the call."""
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy"])
+    def test_check_sorts_the_weights_once(self, count_calls, spec0, metric):
+        d = tied_rows(300)
+        sorts = count_calls(model, "_distinct_weight_order")
+        rep = check_rank_lxc_invariance(ORACLE_METRICS[metric](spec0), d, spec0, trials=10, seed=3)
+        assert rep.passed and len(sorts) == 1 and sorts[0][0] is d.weights
+
+    def test_metric_that_never_ranks_sorts_nothing(self, count_calls, spec0):
+        sorts = count_calls(model, "_distinct_weight_order")
+        check_rank_lxc_invariance(auroc, tied_rows(300), spec0, trials=10, seed=3)
+        assert sorts == []
+
+    def test_below_256_rows_the_weights_are_not_sorted_apart(self, count_calls, spec0):
+        sorts = count_calls(model, "_distinct_weight_order")
+        check_rank_lxc_invariance(partial(lxcim, spec=spec0), tied_rows(255), spec0, trials=10, seed=3)
+        assert sorts == []
+
+    def test_order_does_not_outlive_the_check(self, count_calls, spec0):
+        d = tied_rows(300)
+        before = rank_bits(d, spec0)
+        check_rank_lxc_invariance(partial(lxcim, spec=spec0), d, spec0, trials=10, seed=3)
+        assert d._weight_order is None  # the caller's dataset is left as it was
+        sorts = count_calls(model, "_distinct_weight_order")
+        assert rank_bits(d, spec0) == before and len(sorts) == 1
+        report(d, spec0)
+        assert len(sorts) == 2
+
+    def test_exchange_and_duplicate_carry_no_order(self, count_calls, spec0):
+        d = tied_rows(300)
+        exchanged = exchange_subset(d, range(0, 300, 3), spec0)
+        doubled = duplicate_dataset(d, spec0)
+        assert exchanged._weight_order is None and doubled._weight_order is None
+        sorts = count_calls(model, "_distinct_weight_order")
+        lxcim(exchanged, spec0), lxcim(exchanged, spec0), lxcim(doubled, spec0)
+        assert len(sorts) == 3
+
+    def test_metric_gets_plain_datasets_equal_to_the_reference(self, spec0):
+        for d in (tied_rows(300), Dataset(np.round(np.linspace(-1, 1, 400), 1), np.arange(400) % 2)):
+            seen = []
+            check_rank_lxc_invariance(lambda x: seen.append(x) or 0.0, d, spec0, trials=6, seed=4)
+            assert len(seen) == 7 and all(type(x) is Dataset for x in seen)
+            rng = np.random.default_rng(4)
+            masks = [np.flatnonzero(rng.random(len(d)) < 0.5) for _ in range(6)]
+            for got, want in zip(seen, [d] + [reference_exchange(d, mask, spec0) for mask in masks]):
+                assert got == want and got.labels.dtype == np.int64 and got.weights is d.weights
+            # one order for the whole check, over the caller's own weights array
+            (shared,) = {x._weight_order for x in seen}
+            assert type(shared) is _WeightOrder and shared.weights is d.weights
+
+    def test_twin_is_read_only_and_the_original_untouched(self, spec0):
+        d = tied_rows(300)
+        arrays = (d.scores, d.labels, d.weights)
+        seen = []
+        check_rank_lxc_invariance(lambda x: seen.append(x) or 0.0, d, spec0, trials=1, seed=0)
+        baseline = seen[0]
+        assert baseline is not d
+        assert all(a is b for a, b in zip((baseline.scores, baseline.labels, baseline.weights), arrays))
+        assert all(a is b for a, b in zip((d.scores, d.labels, d.weights), arrays)) and d._weight_order is None
+        with pytest.raises(AttributeError):
+            baseline.scores = d.scores
+
+
+def rank_bits(dataset, spec):
+    view = rank_by_confidence(dataset, spec)
+    return tuple(arr.tobytes() for arr in vars(view).values())
 
 
 def overflowing_spec():

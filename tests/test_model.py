@@ -13,7 +13,8 @@ from lxcim import (
     rank_by_confidence,
     validate_decision_spec,
 )
-from lxcim.model import DecisionSpec, SpecValidationReport, SpecViolation
+from lxcim import model
+from lxcim.model import DecisionSpec, SpecValidationReport, SpecViolation, _sharing_weight_order, _WeightOrder
 
 from conftest import random_dataset
 
@@ -702,3 +703,49 @@ class TestRankingOracle:
             d = _grouped_dataset(n, groups, distinct, seed)
             assert len(rank_by_confidence(d, spec0).group_ends) == groups
             self.assert_matches(d, spec0)
+
+
+class TestWeightOrder:
+    """The weight order a ranking takes for tied confidences: sorted once, used as if sorted afresh."""
+
+    def test_sorted_on_first_use_only(self, count_calls):
+        weights = np.array([2.0, 0.5, 1.5, 1.0])
+        sorts = count_calls(model, "_distinct_weight_order")
+        shared = _WeightOrder(weights)
+        assert sorts == []
+        first = shared.distinct()
+        assert first.tolist() == [1, 3, 2, 0] and not first.flags.writeable
+        assert shared.distinct() is first and len(sorts) == 1
+
+    def test_repeated_weights_give_none(self):
+        assert _WeightOrder(np.array([1.0, 2.0, 1.0])).distinct() is None
+        assert _WeightOrder(np.ones(300)).distinct() is None
+
+    def test_only_from_valid_attaches_one(self):
+        d = Dataset([1.0, -1.0], [1, 0], [1.0, 2.0])
+        assert d._weight_order is None
+        shared = _WeightOrder(d.weights)
+        assert Dataset._from_valid(d.scores, d.labels, d.weights)._weight_order is None
+        twin = Dataset._from_valid(d.scores, d.labels, d.weights, shared)
+        assert twin._weight_order is shared and twin == d
+        with pytest.raises(AttributeError):
+            twin._weight_order = None
+
+    def test_twin_only_where_the_ranking_sorts_weights_apart(self):
+        small = Dataset(np.zeros(255), np.zeros(255, dtype=int))
+        assert _sharing_weight_order(small) is small
+        d = Dataset(np.zeros(256), np.zeros(256, dtype=int))
+        twin = _sharing_weight_order(d)
+        assert twin is not d and twin == d and d._weight_order is None
+        assert twin.weights is d.weights and twin._weight_order.weights is d.weights
+
+    @pytest.mark.parametrize("n", [256, 300, 5000])
+    @pytest.mark.parametrize("kind", ["tied", "duplicate-rows", "random-weights"])
+    def test_shared_order_ranks_as_the_lexsort(self, count_calls, kind, n, spec0):
+        sorts = count_calls(model, "_distinct_weight_order")
+        for seed in range(3):
+            d = _oracle_dataset(kind, n, seed)
+            twin = Dataset._from_valid(d.scores, d.labels, d.weights, _WeightOrder(d.weights))
+            for _ in range(2):
+                TestRankingOracle().assert_matches(twin, spec0)
+            assert len(sorts) == seed + 1

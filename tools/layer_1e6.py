@@ -1,0 +1,112 @@
+"""Layer timings at 1e6 rows on fixed-seed data, for the BENCH_*.json ``layer_1e6`` records.
+
+Run from a checkout, once per side and alternating sides, e.g.:
+
+    python3 tools/layer_1e6.py                      # this checkout's src/
+    python3 tools/layer_1e6.py --root ../parent     # another checkout's src/
+
+The last line of standard output is one JSON object of timings for the
+package under ``ROOT/src``.  The data is the ROADMAP Baseline's, of fixed
+shape and seed: ``generate(GeneratorConfig(BIASED, 10**6, 1, 0.7,
+RANDOM_POSITIVE))``, continuous as drawn and "tied" with the scores rounded
+to 2 decimals.  The CLI check runs ``lxcim check --trials 100`` on the
+check-tied data of ``ROOT/perfbench`` at seed 1, written as CSV.  Timings
+are the best of a few calls in this one process: 5 rankings, 3 reports,
+verifications and duplications, 2 twenty-trial checks, and 1 of each file
+and CLI step.  Beside the package and its benchmark, numpy and the standard
+library only; the tests do not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+ROWS = 10**6
+SEED = 1
+AGREEMENT = 0.7
+
+
+def best_of(repeats: int, call) -> float:
+    """The shortest wall time of ``repeats`` calls, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure(root: Path, workdir: Path) -> dict:
+    import lxcim
+    import workloads
+    from lxcim.verify import GeneratorConfig, GeneratorKind, WeightMode
+
+    spec = lxcim.make_abs_spec(0.0)
+    metric = partial(lxcim.lxcim, spec=spec)
+    continuous = lxcim.generate(
+        GeneratorConfig(GeneratorKind.BIASED, ROWS, SEED, AGREEMENT, WeightMode.RANDOM_POSITIVE)
+    )
+    shapes = {
+        "continuous": continuous,
+        "tied": lxcim.Dataset(np.round(continuous.scores, 2), continuous.labels, continuous.weights),
+    }
+    out: dict = {"rows": ROWS, "seed": SEED}
+    for shape, data in shapes.items():
+        out[f"{shape}_rank_ms"] = 1e3 * best_of(5, lambda: lxcim.rank_by_confidence(data, spec))
+        out[f"{shape}_report_ms"] = 1e3 * best_of(3, lambda: lxcim.report(data, spec))
+        out[f"{shape}_check20_s"] = best_of(
+            2, lambda: lxcim.check_rank_lxc_invariance(metric, data, spec, trials=20, seed=SEED)
+        )
+        out[f"{shape}_verifiers_ms"] = 1e3 * best_of(
+            3, lambda: (lxcim.verify_doubling_identity(data, spec), lxcim.verify_crossing_point(data, spec))
+        )
+        out[f"{shape}_duplicate_ms"] = 1e3 * best_of(3, lambda: lxcim.duplicate_dataset(data, spec))
+
+    for fmt in ("csv", "jsonl"):
+        path = workdir / f"continuous.{fmt}"
+        out[f"write_{fmt}_s"] = best_of(1, lambda: lxcim.write_prediction_file(path, continuous, fmt))
+        out[f"ingest_{fmt}_s"] = best_of(1, lambda: lxcim.ingest(path, fmt))
+
+    (check_tied,) = workloads._setup_tied(SEED, workloads.FULL, workdir)
+    tied_csv = workdir / "check-tied.csv"
+    lxcim.write_prediction_file(tied_csv, check_tied.data, "csv")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for name in ("lxcim", "accuracy"):
+        command = [sys.executable, "-m", "lxcim.cli", "check", "--input", str(tied_csv), "--metric", name,
+                   "--trials", "100"]
+        out[f"check_tied_cli_check100_{name}_s"] = best_of(
+            1, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
+        )
+    out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    return {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ is timed (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    for needed in (root / "src" / "lxcim" / "__init__.py", root / "perfbench" / "workloads.py"):
+        if not needed.is_file():
+            parser.error(f"no {needed.relative_to(root)} under {root}")
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    with tempfile.TemporaryDirectory() as workdir:
+        result = measure(root, Path(workdir))
+    print(json.dumps({"root": str(root), **result}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
