@@ -114,6 +114,23 @@ class Curve:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _from_valid(cls, kind: CurveKind, x: np.ndarray, y: np.ndarray) -> "Curve":
+        """A curve over breakpoints that are valid by construction, neither copied nor checked.
+
+        The caller guarantees new equal-length nonempty 1-d float64 arrays
+        that pass every check of the constructor.  They become read-only.
+        """
+        self = object.__new__(cls)
+        x.setflags(write=False)
+        y.setflags(write=False)
+        self.__dict__.update(kind=kind, x=x, y=y)
+        return self
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which makes the new arrays read-only
+        return type(self), (self.kind, self.x, self.y)
+
     def __len__(self) -> int:
         return len(self.x)
 
@@ -225,7 +242,8 @@ def roc_curve(dataset: Dataset) -> Curve:
 
 def _roc_curve(sweep) -> Curve:
     tp, fp, pos_total, neg_total = sweep
-    return Curve(kind=CurveKind.ROC, x=fp / neg_total, y=tp / pos_total)
+    # cumsums of positive weights over their own finite last value: non-decreasing, in [0, 1]
+    return Curve._from_valid(CurveKind.ROC, fp / _finite(neg_total), tp / _finite(pos_total))
 
 
 def auroc(dataset: Dataset) -> float:
@@ -288,8 +306,9 @@ def cumulative_accuracy_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
 
 def _cumulative_accuracy_curve(view: RankedView) -> Curve:
     cw, cc = _group_boundaries(view)
-    total = view.cum_weight[-1]
-    return Curve(kind=CurveKind.CUM_ACC, x=cw / total, y=cc / total)
+    total = _finite(float(view.cum_weight[-1]))
+    # cw ends at total and cc <= cw, by induction over the cumsums: the unit square holds
+    return Curve._from_valid(CurveKind.CUM_ACC, cw / total, cc / total)
 
 
 def lxcim(dataset: Dataset, spec: DecisionSpec) -> float:
@@ -324,8 +343,8 @@ def accuracy_rate_curve(dataset: Dataset, spec: DecisionSpec) -> Curve:
 
 def _accuracy_rate_curve(view: RankedView) -> Curve:
     cw, cc = _group_boundaries(view)
-    total = view.cum_weight[-1]
-    return Curve(kind=CurveKind.ACC_RATE, x=cw[1:] / total, y=cc[1:] / cw[1:])
+    total = _finite(float(view.cum_weight[-1]))
+    return Curve._from_valid(CurveKind.ACC_RATE, cw[1:] / total, cc[1:] / cw[1:])
 
 
 def audrc(dataset: Dataset, spec: DecisionSpec) -> float:

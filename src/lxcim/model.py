@@ -136,6 +136,10 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor, with no _WeightOrder
+        return type(self), (self.scores, self.labels, self.weights)
+
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())

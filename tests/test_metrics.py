@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -199,15 +202,19 @@ class TestWeightOverflow:
     def three_rows(weight):
         return Dataset([1.0, -0.5, 0.3], [1, 1, 0], [weight] * 3)
 
+    # the prefix sums warn of their overflow; any other warning, such as inf / inf, is an error
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_infinite_total_raises_everywhere(self, spec0):
-        # accuracy and AUDRC read 0.0 here, and LxCIM and AUROC nan
-        d = self.three_rows(1e308)
-        calls = (lambda: accuracy(d, spec0), lambda: audrc(d, spec0), lambda: lxcim(d, spec0),
-                 lambda: auroc(d), lambda: report(d, spec0))
-        for call in calls:
-            with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
-                call()
+        # accuracy and AUDRC read 0.0 here, LxCIM and AUROC nan, and the curves had nan breakpoints;
+        # one class total overflows in the first dataset, both in the second
+        for d in (self.three_rows(1e308), Dataset([1.0, -0.5, 0.3, -0.2], [1, 1, 0, 0], [1e308] * 4)):
+            calls = (lambda: accuracy(d, spec0), lambda: audrc(d, spec0), lambda: lxcim(d, spec0),
+                     lambda: auroc(d), lambda: report(d, spec0), lambda: roc_curve(d),
+                     lambda: cumulative_accuracy_curve(d, spec0), lambda: accuracy_rate_curve(d, spec0),
+                     lambda: verify_crossing_point(d, spec0))
+            for call in calls:
+                with pytest.raises(LxcimError, match="^the weights overflow float arithmetic$"):
+                    call()
 
     def test_overflowing_products_raise(self, spec0):
         # the total 3e200 is finite and its square is not
@@ -380,6 +387,23 @@ class TestCurveType:
         curve = Curve(CurveKind.ACC_RATE, np.array([0.5, 1.0]), np.array([1.0, 0.75]))
         assert curve.x.tolist() == [0.5, 1.0] and curve.y.tolist() == [1.0, 0.75]
         assert len(curve) == 2
+
+    @pytest.mark.parametrize("round_trip", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_unchecked_curve_pickles_and_copies(self, round_trip, d0):
+        curve = roc_curve(d0)  # built by Curve._from_valid
+        again = round_trip(curve)
+        assert type(again) is Curve and again.kind is CurveKind.ROC
+        assert again.x.tobytes() == curve.x.tobytes() and again.y.tobytes() == curve.y.tobytes()
+        assert not again.x.flags.writeable and not again.y.flags.writeable
+
+    def test_unchecked_curve_skips_the_checks(self):
+        # only for arrays valid by construction: a decreasing x goes through unchecked
+        x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        curve = Curve._from_valid(CurveKind.ROC, x, y)
+        assert curve.x is x and curve.y is y and not x.flags.writeable and not y.flags.writeable
+        with pytest.raises(ValueError, match="^x must be non-decreasing$"):
+            Curve(CurveKind.ROC, x, y)
 
 
 class TestRankOnce:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -65,6 +67,19 @@ class TestDataset:
 
     def test_empty_is_constructible(self):
         assert len(Dataset([], [])) == 0
+
+    @pytest.mark.parametrize("round_trip", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickles_and_copies(self, round_trip):
+        d = Dataset([1.0, -0.5, 0.3, -0.2], [1, 1, 0, 0], [2.0, 1.0, 0.5, 1.0])
+        # the check's twin carries a _WeightOrder; a round trip leaves it behind
+        twin = _sharing_weight_order(Dataset(np.arange(300.0) - 150.0, np.arange(300) % 2, np.arange(1.0, 301.0)))
+        for original in (d, twin, Dataset([], [])):
+            again = round_trip(original)
+            assert again == original and type(again) is Dataset
+            assert again._weight_order is None
+            for arr, dtype in ((again.scores, np.float64), (again.labels, np.int64), (again.weights, np.float64)):
+                assert arr.dtype == dtype and not arr.flags.writeable
 
     @pytest.mark.parametrize(
         "scores,labels,weights",

@@ -11,9 +11,11 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from lxcim import (
+    Curve,
     Dataset,
     ExchangeMask,
     accuracy,
+    accuracy_rate_curve,
     audrc,
     auroc,
     cumulative_accuracy_curve,
@@ -22,6 +24,7 @@ from lxcim import (
     lxcim,
     make_abs_spec,
     rank_by_confidence,
+    roc_curve,
 )
 
 SPEC0 = make_abs_spec(0.0)
@@ -116,6 +119,26 @@ def test_curve_endpoint_equals_accuracy(dataset):
     curve = cumulative_accuracy_curve(dataset, SPEC0)
     assert curve.x[0] == 0.0 and curve.x[-1] == 1.0
     assert curve.y[-1] == accuracy(dataset, SPEC0)
+
+
+def _assert_passes_the_checks(curve):
+    again = Curve(curve.kind, curve.x, curve.y)
+    assert again.x.tobytes() == curve.x.tobytes() and again.y.tobytes() == curve.y.tobytes()
+    assert not curve.x.flags.writeable and not curve.y.flags.writeable
+
+
+@given(datasets(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_built_curves_pass_the_checks(dataset, tied):
+    # the builders skip Curve's checks; here they are asserted instead
+    if tied:
+        dataset = Dataset(np.round(dataset.scores), dataset.labels, dataset.weights)
+    _assert_passes_the_checks(cumulative_accuracy_curve(dataset, SPEC0))
+    _assert_passes_the_checks(accuracy_rate_curve(dataset, SPEC0))
+    # the verifiers' ROC is that of the dataset with its full exchange
+    for d in (dataset, duplicate_dataset(dataset, SPEC0)):
+        if 0 < d.labels.sum() < len(d):  # rows at s_star keep their class in the exchange
+            _assert_passes_the_checks(roc_curve(d))
 
 
 @given(datasets())

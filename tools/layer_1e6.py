@@ -1,4 +1,4 @@
-"""Layer timings at 1e6 rows on fixed-seed data, for the BENCH_*.json ``layer_1e6`` records.
+"""Layer timings at 1e6 rows and on many small datasets, for the BENCH_*.json ``layer_1e6`` records.
 
 Run from a checkout, once per side and alternating sides, e.g.:
 
@@ -13,7 +13,14 @@ to 2 decimals.  The CLI check runs ``lxcim check --trials 100`` on the
 check-tied data of ``ROOT/perfbench`` at seed 1, written as CSV.  Timings
 are the best of a few calls in this one process: 5 rankings, 3 reports,
 verifications and duplications, 2 twenty-trial checks, and 1 of each file
-and CLI step.  Beside the package and its benchmark, numpy and the standard
+and CLI step.
+
+The ``small_*_us`` keys time the fixed cost of each call instead, on the
+thousand datasets of 8 to 512 rows of the many-small workload at seed 1
+(``workloads._setup_small(1, FULL)``): the ranking, ``report``, each curve
+builder, each verifier and a 3-trial ``lxcim`` check.  Each is the median of
+5 passes over all the datasets, a pass giving its mean microseconds per
+dataset.  Beside the package and its benchmark, numpy and the standard
 library only; the tests do not run it.
 """
 
@@ -35,6 +42,7 @@ import numpy as np
 ROWS = 10**6
 SEED = 1
 AGREEMENT = 0.7
+SMALL_PASSES = 5
 
 
 def best_of(repeats: int, call) -> float:
@@ -88,8 +96,37 @@ def measure(root: Path, workdir: Path) -> dict:
         out[f"check_tied_cli_check100_{name}_s"] = best_of(
             1, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
         )
+    out.update(measure_small(spec, metric, workdir))
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
+
+
+def measure_small(spec, metric, workdir: Path) -> dict:
+    """Median over passes of the mean microseconds per many-small dataset, per call."""
+    import lxcim
+    import workloads
+
+    datasets = [case.data for case in workloads._setup_small(SEED, workloads.FULL, workdir)]
+    calls = {
+        "rank": lambda d: lxcim.rank_by_confidence(d, spec),
+        "report": lambda d: lxcim.report(d, spec),
+        "cumulative_accuracy_curve": lambda d: lxcim.cumulative_accuracy_curve(d, spec),
+        "accuracy_rate_curve": lambda d: lxcim.accuracy_rate_curve(d, spec),
+        "roc_curve": lxcim.roc_curve,
+        "verify_doubling": lambda d: lxcim.verify_doubling_identity(d, spec),
+        "verify_crossing": lambda d: lxcim.verify_crossing_point(d, spec),
+        "check3": lambda d: lxcim.check_rank_lxc_invariance(metric, d, spec, trials=3, seed=SEED),
+    }
+    out = {"small_datasets": len(datasets), "small_rows": sum(len(d) for d in datasets)}
+    for name, call in calls.items():
+        passes = []
+        for _ in range(SMALL_PASSES):
+            start = time.perf_counter()
+            for data in datasets:
+                call(data)
+            passes.append((time.perf_counter() - start) / len(datasets))
+        out[f"small_{name}_us"] = 1e6 * float(np.median(passes))
+    return out
 
 
 def main(argv=None) -> int:
