@@ -93,8 +93,10 @@ class ExchangeMask:
         return len(self.indices)
 
     def __contains__(self, item) -> bool:
-        # a boolean is no position, as in the constructor, though numpy compares True equal to 1
-        return np.asarray(item).dtype != bool and item in self.indices
+        # only a 0-d number is a position: not a boolean, as in the constructor, though numpy
+        # compares True equal to 1, and not a sequence, which numpy would broadcast
+        item = np.asarray(item)
+        return item.ndim == 0 and item.dtype != bool and item in self.indices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMask):

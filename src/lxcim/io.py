@@ -7,12 +7,13 @@ positive label to 1 and the single remaining value to 0.  A byte order mark
 at the start of a JSONL file is skipped (RFC 8259, section 8.1), as one at
 the start of a CSV header cell is.
 
-Both formats are read by columns, a block of rows at a time: ``csv.reader``
-or the ``json`` C scanner parses each row of a block, once per line exactly as
-``json.loads`` would, and ``float``, ``str.strip`` and the label rules then run
-over whole columns.  A file those column checks reject is read a second time,
-one row at a time, to name the first bad row; that row reader is also the
-reference the column readers are tested against.
+A file is read once, from start to end, by columns, a block of rows at a
+time: ``csv.reader`` or the ``json`` C scanner parses each row of a block,
+once per line exactly as ``json.loads`` would, and ``float``, ``str.strip`` and
+the label rules then run over whole columns.  A block those column checks
+reject is checked again in memory, one row at a time with the per-cell rules,
+to name its first bad row.  Nothing seeks or reads a file twice, so a pipe is
+read as it comes, never copied whole.
 
 Floats are written with shortest round-trip precision (``repr``), so write ->
 ingest reproduces scores and weights bit-exactly.  Each distinct magnitude of
@@ -22,13 +23,13 @@ at a time.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -171,52 +172,12 @@ def _csv_header(reader, path: str) -> tuple[int, int, int, int | None]:
     return len(names), names.index("score"), names.index("label"), weight_col
 
 
-def _read_csv(lines, path: str, scores: list, labels: list, weights: list) -> None:
-    reader = csv.reader(lines)
-    width, score_col, label_col, weight_col = _csv_header(reader, path)
-    try:
-        for cells in reader:
-            if not cells or all(not cell.strip() for cell in cells):
-                continue
-            row = len(labels) + 1
-            if len(cells) < width:
-                raise ParseError(f"expected {width} cells, got {len(cells)}", path=path, row=row)
-            scores.append(_csv_float(cells[score_col].strip(), "score", path, row))
-            labels.append(_label_text(cells[label_col], path, row))
-            weight = cells[weight_col].strip() if weight_col is not None else ""
-            weights.append(_csv_float(weight, "weight", path, row) if weight else 1.0)
-    except (csv.Error, _NotUtf8) as exc:  # met while reading the next data row
-        raise ParseError(str(exc), path=path, row=len(labels) + 1) from None
-
-
-def _read_jsonl(lines, path: str, scores: list, labels: list, weights: list) -> None:
-    try:
-        for line in lines:
-            if not line.strip():
-                continue
-            row = len(labels) + 1
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
-                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, row=row) from None
-            if not isinstance(obj, dict):
-                raise ParseError("each line must be a JSON object", path=path, row=row)
-            if "score" not in obj or "label" not in obj:
-                raise ParseError("object needs 'score' and 'label' keys", path=path, row=row)
-            scores.append(_json_float(obj["score"], "score", path, row))
-            labels.append(_label_text(obj["label"], path, row))
-            weight = obj.get("weight")
-            weights.append(1.0 if weight is None else _json_float(weight, "weight", path, row))
-    except _NotUtf8 as exc:
-        raise ParseError(str(exc), path=path, row=len(labels) + 1) from None
-
-
 class _Irregular(Exception):
-    """A column check failed: some row of the file is bad."""
+    """A column check failed: some row of the block is bad."""
 
 
-# what a column reader meets in a file with a bad row; the row reader then names that row
-_IRREGULAR = (_Irregular, _NotUtf8, csv.Error, ValueError, OverflowError, KeyError, RecursionError)
+# what a column check meets in a block with a bad row; the block's rows are then checked one by one
+_IRREGULAR = (_Irregular, ValueError, OverflowError, KeyError, RecursionError)
 
 _LABEL_TEXT = {str: str.strip, int: str, float: repr}  # _label_text of a valid label, by type
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
@@ -248,100 +209,132 @@ def _label_texts(values: list) -> list[str]:
     return texts
 
 
-def _joined(scores: list, labels: list, weights: list) -> PredictionColumns:
-    """The columns of a file from the columns of its blocks."""
-    empty = np.empty(0)
-    return PredictionColumns(np.concatenate([empty, *scores]), labels, np.concatenate([empty, *weights]))
-
-
-def _csv_columns(lines, path: str) -> PredictionColumns:
-    reader = csv.reader(lines)
-    width, score_col, label_col, weight_col = _csv_header(reader, path)
+def _csv_block(header: tuple, rows: list) -> tuple:
+    """The score, label and weight columns of a block of CSV rows."""
+    width, score_col, label_col, weight_col = header
     score, label = itemgetter(score_col), itemgetter(label_col)
-    scores, labels, weights = [], [], []
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        # a blank row is short or has a blank score cell: only then test each row
-        if min(map(len, rows)) < width or "" in map(str.strip, map(score, rows)):
-            rows = [cells for cells in rows if any(map(str.strip, cells))]
-            if rows and min(map(len, rows)) < width:
-                raise _Irregular
-        scores.append(_float_column(list(map(str.strip, map(score, rows)))))
-        labels += _label_texts(list(map(label, rows)))
-        if weight_col is None:
-            weights.append(np.ones(len(rows)))
-            continue
-        texts = list(map(str.strip, map(itemgetter(weight_col), rows)))
-        weights.append(_float_column([text or "1" for text in texts] if "" in texts else texts))
-    return _joined(scores, labels, weights)
-
-
-def _jsonl_columns(lines, path: str) -> PredictionColumns:
-    scores, labels, weights = [], [], []
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        texts = list(map(str.strip, filter(str.strip, block), repeat(_JSON_SPACE)))
-        # a line with no value ends the map early, with a shorter list
-        parsed = list(map(_scan_json, texts, repeat(0)))
-        if list(map(itemgetter(1), parsed)) != list(map(len, texts)):
-            raise _Irregular  # no value, or text after it
-        objects = list(map(itemgetter(0), parsed))
-        if not set(map(type, objects)).issubset((dict,)):
+    # a blank row is short or has a blank score cell: only then test each row
+    if min(map(len, rows)) < width or "" in map(str.strip, map(score, rows)):
+        rows = [cells for cells in rows if any(map(str.strip, cells))]
+        if rows and min(map(len, rows)) < width:
             raise _Irregular
-        scores.append(_number_column(list(map(itemgetter("score"), objects))))
-        labels += _label_texts(list(map(itemgetter("label"), objects)))
-        given = list(map(dict.get, objects, repeat("weight")))
-        if None in given:
-            given = [1.0 if weight is None else weight for weight in given]
-        weights.append(_number_column(given))
-    return _joined(scores, labels, weights)
+    scores = _float_column(list(map(str.strip, map(score, rows))))
+    labels = _label_texts(list(map(label, rows)))
+    if weight_col is None:
+        return scores, labels, np.ones(len(rows))
+    texts = list(map(str.strip, map(itemgetter(weight_col), rows)))
+    return scores, labels, _float_column([text or "1" for text in texts] if "" in texts else texts)
 
 
-def _lines(handle, format: str):
-    """The decoded lines of an open prediction file, from its start.
+def _jsonl_block(lines: list) -> tuple:
+    """The score, label and weight columns of a block of JSONL lines."""
+    texts = list(map(str.strip, filter(str.strip, lines), repeat(_JSON_SPACE)))
+    # a line with no value ends the map early, with a shorter list
+    parsed = list(map(_scan_json, texts, repeat(0)))
+    if list(map(itemgetter(1), parsed)) != list(map(len, texts)):
+        raise _Irregular  # no value, or text after it
+    objects = list(map(itemgetter(0), parsed))
+    if not set(map(type, objects)).issubset((dict,)):
+        raise _Irregular
+    scores = _number_column(list(map(itemgetter("score"), objects)))
+    labels = _label_texts(list(map(itemgetter("label"), objects)))
+    given = list(map(dict.get, objects, repeat("weight")))
+    if None in given:
+        given = [1.0 if weight is None else weight for weight in given]
+    return scores, labels, _number_column(given)
 
-    A JSONL file's leading byte order mark is skipped (RFC 8259, section 8.1).
+
+def _csv_cells(header: tuple, rows: list, path: str, row: int):
+    """The row number, score, label and weight cells of each data row of a CSV
+    block, numbered after ``row``; raises for a row with too few cells."""
+    width, score_col, label_col, weight_col = header
+    for row, cells in enumerate((cells for cells in rows if any(map(str.strip, cells))), row + 1):
+        if len(cells) < width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", path=path, row=row)
+        weight = cells[weight_col].strip() if weight_col is not None else ""
+        yield row, cells[score_col].strip(), cells[label_col], weight or None
+
+
+def _jsonl_cells(lines: list, path: str, row: int):
+    """The row number, score, label and weight of each data line of a JSONL
+    block, numbered after ``row``; raises for a line that is not such an object."""
+    for row, line in enumerate(filter(str.strip, lines), row + 1):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also too many digits, or nesting too deep
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, row=row) from None
+        if not isinstance(obj, dict):
+            raise ParseError("each line must be a JSON object", path=path, row=row)
+        if "score" not in obj or "label" not in obj:
+            raise ParseError("object needs 'score' and 'label' keys", path=path, row=row)
+        yield row, obj["score"], obj["label"], obj.get("weight")
+
+
+def _first_bad_row(cells, as_float, stop, path: str, scores: list, weights: list) -> ParseError:
+    """The error of a rejected block, from its ``cells`` checked one row at a time.
+
+    ``as_float`` is the format's number rule.  ``stop``, the error that ended
+    the block's reading if one did, follows the block's rows.  As in a file
+    read row by row, a bad value in the columns of the blocks before
+    (``scores``, ``weights``), or in a cell before the error, is raised first.
     """
-    handle.seek(0)
-    if format == "jsonl" and handle.read(3) != codecs.BOM_UTF8:
-        handle.seek(0)
-    return _utf8_lines(handle)
-
-
-def _read_by_rows(handle, path: str, format: str) -> PredictionColumns:
-    """Read the file one row at a time, raising for the first bad row.
-
-    The reference that the column readers must agree with, on every file.
-    """
-    scores: list[float] = []
-    labels: list[str] = []
-    weights: list[float] = []
-    read = _read_csv if format == "csv" else _read_jsonl
-    # the readers append cell by cell, so on a ParseError the lists hold every cell before it
+    block_scores, block_weights, error = [], [], None
     try:
-        read(_lines(handle, format), path, scores, labels, weights)
-    except ParseError:
-        _check_values(scores, weights, path)  # a bad value in an earlier cell comes first
-        raise
-    rows = PredictionColumns(np.array(scores, dtype=float), labels, np.array(weights, dtype=float))
-    _check_values(rows.scores, rows.weights, path)
-    return rows
+        for row, score, label, weight in cells:
+            block_scores.append(as_float(score, "score", path, row))
+            _label_text(label, path, row)
+            block_weights.append(1.0 if weight is None else as_float(weight, "weight", path, row))
+    except ParseError as exc:
+        error = exc
+    scores = np.concatenate([*scores, block_scores])
+    _check_values(scores, np.concatenate([*weights, block_weights]), path)
+    if error is not None:
+        return error
+    if stop is not None:
+        return ParseError(str(stop), path=path, row=len(scores) + 1)
+    return ParseError("the column reader rejected the file, but no row is bad", path=path)
 
 
-def _read_columns(handle, path: str, format: str) -> PredictionColumns:
-    """Read the file by columns; if a column check fails, read it again by rows.
+def _read_columns(lines, path: str, format: str) -> PredictionColumns:
+    """Read a file's decoded lines by columns, a block of rows at a time.
 
-    Reading by rows raises the error of the first bad row.
+    A block that a column check rejects, or whose reading fails, is checked
+    again one row at a time, and the error of its first bad row is raised.
     """
-    try:
-        return (_csv_columns if format == "csv" else _jsonl_columns)(_lines(handle, format), path)
-    except _IRREGULAR:
-        _read_by_rows(handle, path, format)
-        raise ParseError("the column reader rejected the file, but no row is bad", path=path) from None
+    if format == "csv":
+        lines = csv.reader(lines)
+        header = _csv_header(lines, path)
+        columns, cells, as_float = partial(_csv_block, header), partial(_csv_cells, header), _csv_float
+    else:
+        # one byte order mark at the start of the file is skipped (RFC 8259, section 8.1)
+        lines = chain(map(str.removeprefix, islice(lines, 1), ["\ufeff"]), lines)
+        columns, cells, as_float = _jsonl_block, _jsonl_cells, _json_float
+    scores, labels, weights = [np.empty(0)], [], [np.empty(0)]
+    while True:
+        block, stop = [], None
+        try:
+            block.extend(islice(lines, _BLOCK_ROWS))  # an error keeps the rows read before it
+        except (csv.Error, _NotUtf8) as exc:
+            stop = exc
+        if not block and stop is None:
+            return PredictionColumns(np.concatenate(scores), labels, np.concatenate(weights))
+        try:
+            if stop is not None:
+                raise _Irregular
+            score, label, weight = columns(block)
+        except _IRREGULAR:
+            cells_by_row = cells(block, path, len(labels))
+            raise _first_bad_row(cells_by_row, as_float, stop, path, scores, weights) from None
+        scores.append(score)
+        labels += label
+        weights.append(weight)
 
 
 def read_prediction_rows(path, format: str = "csv") -> PredictionColumns:
     """Parse a prediction file into columns, validating cells but not labels.
 
-    The file is parsed a block of rows at a time and checked by columns.  An
+    The file is read once, from start to end, a block of rows at a time, and
+    checked by columns; a pipe is read as it comes, never copied whole.  An
     error names the first bad data row; text that is not UTF-8 is a
     :class:`ParseError` too.
     """
@@ -349,9 +342,7 @@ def read_prediction_rows(path, format: str = "csv") -> PredictionColumns:
     path = str(path)
     try:
         with open(path, "rb") as handle:
-            if not handle.seekable():  # a pipe: keep its bytes, to read them again on an error
-                handle = io.BytesIO(handle.read())
-            rows = _read_columns(handle, path, format)
+            rows = _read_columns(_utf8_lines(handle), path, format)
     except OSError as exc:
         raise PredictionFileError(f"cannot open: {exc.strerror or exc}", path=path) from None
     _check_values(rows.scores, rows.weights, path)

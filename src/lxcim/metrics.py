@@ -99,8 +99,8 @@ class Curve:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)  # a copy: the caller's arrays stay writable
+        y = np.array(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
             raise ValueError("x and y must be equal-length nonempty 1-d arrays")
         # the same verdict as np.diff(x) < 0, even for inf and overflow, without the differences

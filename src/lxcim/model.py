@@ -218,9 +218,11 @@ def predict(score, spec: DecisionSpec):
 def make_abs_spec(s_star: float = 0.0) -> DecisionSpec:
     """Canonical spec: confidence |s - s_star|, mirror reflection about s_star.
 
-    The reflection is computed as ``s_star - (s - s_star)``, which keeps
-    confidence symmetry and the involution bit-exact at s_star = 0 and for the
-    usual probability setup (scores in [0, 1] with s_star = 0.5).
+    The reflection is computed as ``s_star - (s - s_star)``.  At s_star = 0
+    it is negation, which keeps confidence symmetry and the involution
+    bit-exact.  At any other s_star it can round: at s_star = 0.5 the mirror
+    of 0.04 rounds to 0.96, whose confidence is one ulp below that of 0.04,
+    so an exchange can merge or split a tie (ROADMAP item 14).
     """
     a = float(s_star)
     return DecisionSpec(s_star=a, confidence=lambda s: abs(s - a), reflect=lambda s: a - (s - a))

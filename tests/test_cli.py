@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lxcim
 from lxcim import Dataset, ingest, write_prediction_file
 from lxcim.cli import main
 
-from conftest import subnormal_weight_datasets, underflowing_datasets
+from conftest import random_dataset, subnormal_weight_datasets, underflowing_datasets
 
 UNDERFLOWING = {**underflowing_datasets(), **subnormal_weight_datasets()}
 
@@ -26,6 +27,12 @@ def d0_csv(tmp_path):
 
 def run(argv):
     return main([str(part) for part in argv])
+
+
+def child_env():
+    """The environment for a child Python that imports this package's sources."""
+    src = str(Path(lxcim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestEval:
@@ -352,6 +359,34 @@ class TestUsage:
         assert json.loads(proc.stdout)["lxcim"] == 0.625
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="reads its input from /dev/stdin")
+class TestPipedInput:
+    """``--input /dev/stdin`` reads a pipe once, as it comes, with no copy to read it again."""
+
+    @staticmethod
+    def run_piped(argv, data):
+        return subprocess.run(
+            [sys.executable, "-m", "lxcim.cli", *argv], input=data, capture_output=True, env=child_env()
+        )
+
+    def test_eval_reads_a_pipe_as_the_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "p.csv"
+        write_prediction_file(path, random_dataset(rng, 3000), "csv")
+        proc = self.run_piped(["eval", "--input", "/dev/stdin", "--output", "json"], path.read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert run(["eval", "--input", path, "--output", "json"]) == 0
+        assert proc.stdout.decode() == capsys.readouterr().out
+
+    def test_bad_row_past_the_first_block(self):
+        lines = [json.dumps({"score": i - 749.5, "label": i % 2}) for i in range(1500)]
+        lines[1299] = '{"score": "abc", "label": 1}'
+        data = "\n".join(lines).encode()
+        proc = self.run_piped(["eval", "--input", "/dev/stdin", "--format", "jsonl"], data)
+        assert proc.returncode == 3, proc.stderr
+        assert "row 1300: score must be a number, got 'abc'" in proc.stderr.decode()
+
+
 class TestChartBytes:
     """The SVG files that ``eval`` and ``study`` write, pinned by sha256."""
 
@@ -475,14 +510,7 @@ class TestStartup:
             "import lxcim.cli\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
-        src = str(Path(lxcim.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         added = json.loads(proc.stdout)
         assert "lxcim.cli" in added and "lxcim.svg" in added

@@ -148,6 +148,10 @@ class TestExchangeSubset:
         for flag in (True, False, np.True_, np.False_, np.array(True), np.array(False)):
             assert flag not in mask
         assert False not in ExchangeMask([0]) and 0 in ExchangeMask([0])
+        # nor is a sequence a position, though numpy broadcasts it against the indices
+        assert np.array(2) in mask
+        for items in ((1, 2), [1, 2], (1,), [2], np.array([1, 2]), np.array([[1]]), (), []):
+            assert items not in mask
 
     def test_preserves_size_weight_and_confidence_multiset(self, spec0):
         rng = np.random.default_rng(2)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -32,23 +33,18 @@ from lxcim import (
 from lxcim.io import (
     PredictionColumns,
     _NotUtf8,
-    _read_by_rows,
     _utf8_lines,
     build_dataset,
     read_prediction_rows,
 )
 
 from conftest import random_dataset
+from rows import read_by_rows
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def read_by_rows(path, format="csv"):
-    with open(path, "rb") as handle:
-        return _read_by_rows(handle, str(path), format)
 
 
 class ByRows:
@@ -504,30 +500,54 @@ class TestColumnsMatchRows:
         ids=["csv-quoted-and-blank", "csv-reordered", "jsonl-null-weight-and-blank", "jsonl-no-final-end"],
     )
     def test_irregular_but_valid_files_read_by_columns(self, tmp_path, monkeypatch, fmt, text):
-        # the row reader runs only to name a bad row, never for a valid file
+        # a block is checked row by row only to name a bad row, never in a valid file
         path = write(tmp_path / f"p.{fmt}", text)
         expected = outcome(read_by_rows, path, fmt)
         assert isinstance(expected[0], bytes)
 
         def fail(*args):
-            raise AssertionError("the row reader ran")
+            raise AssertionError("a block was checked row by row")
 
-        monkeypatch.setattr(lxcim.io, "_read_by_rows", fail)
+        monkeypatch.setattr(lxcim.io, "_first_bad_row", fail)
         assert outcome(read_prediction_rows, path, fmt) == expected
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe by its /dev/fd path")
 class TestPipe:
-    """A file that cannot seek is read into memory once, so its error still names its row."""
+    """A file that cannot seek is read as it comes, and its error still names its row."""
 
     def read_pipe(self, data, fmt):
         read_end, write_end = os.pipe()
-        os.write(write_end, data)
-        os.close(write_end)
+
+        def feed():  # on a thread, as a pipe holds less than a large file
+            try:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(data)
+            except BrokenPipeError:  # the reader stopped at an error
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
         try:
             return read_prediction_rows(f"/dev/fd/{read_end}", fmt)
         finally:
             os.close(read_end)
+            writer.join()
+
+    def test_holds_no_copy_of_the_file(self, tmp_path):
+        # read through a pipe, a file takes about the memory it takes read from disk
+        path = tmp_path / "p.csv"
+        write_prediction_file(path, random_dataset(np.random.default_rng(3), 2**15), "csv")
+        data = path.read_bytes()
+        peaks = []
+        for read in (lambda: read_prediction_rows(path), lambda: self.read_pipe(data, "csv")):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + len(data) // 4
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_bad_row_is_named(self, fmt):
@@ -543,6 +563,26 @@ class TestPipe:
         assert outcome(lambda path, fmt: self.read_pipe(data, fmt), None, "csv") == outcome(
             read_prediction_rows, tmp_path / "p.csv", "csv"
         )
+
+    def test_jsonl_byte_order_mark_is_skipped(self, tmp_path):
+        data = codecs.BOM_UTF8 + b'{"score": 1.5, "label": "a"}\n{"score": -2, "label": "b", "weight": 3}\n'
+        (tmp_path / "p.jsonl").write_bytes(data)
+        piped = outcome(lambda path, fmt: self.read_pipe(data, fmt), None, "jsonl")
+        assert piped == outcome(read_by_rows, tmp_path / "p.jsonl", "jsonl")
+        assert piped[1] == ["a", "b"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_text_not_utf8_in_the_middle_of_a_block(self, tmp_path, fmt):
+        # rows 1-9 of the block are good, the 10th holds a byte that is not UTF-8
+        row = b"1,a\n" if fmt == "csv" else b'{"score": 1, "label": "a"}\n'
+        data = (b"score,label\n" if fmt == "csv" else b"") + row * 9 + row.replace(b"a", b"\xff") + row * 5
+        (tmp_path / f"p.{fmt}").write_bytes(data)
+        with mock.patch.object(lxcim.io, "_BLOCK_ROWS", 16), pytest.raises(ParseError) as err:
+            self.read_pipe(data, fmt)
+        message = str(err.value).removeprefix(f"{err.value.path}: ")
+        assert err.value.row == 10 and message.startswith("row 10: not UTF-8 text: byte 0xff")
+        error, row, text = outcome(read_by_rows, tmp_path / f"p.{fmt}", fmt)
+        assert (error, row, text) == (ParseError, 10, f"{tmp_path / f'p.{fmt}'}: {message}")
 
 
 class TestJsonlIngestByRows(ByRows):

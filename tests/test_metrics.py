@@ -405,6 +405,15 @@ class TestCurveType:
         with pytest.raises(ValueError, match="^x must be non-decreasing$"):
             Curve(CurveKind.ROC, x, y)
 
+    def test_constructor_copies_the_caller_arrays(self):
+        # the curve's arrays are read-only copies; the caller's stay its own and writable
+        x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0])
+        curve = Curve(CurveKind.ROC, x, y)
+        assert not np.shares_memory(curve.x, x) and not np.shares_memory(curve.y, y)
+        assert not curve.x.flags.writeable and not curve.y.flags.writeable
+        x[0], y[1] = 0.5, 0.5
+        assert curve.x.tolist() == [0.0, 0.5, 1.0] and curve.y.tolist() == [0.0, 0.25, 1.0]
+
 
 class TestRankOnce:
     """Each evaluation ranks its dataset once and reads every metric off that view."""

@@ -15,6 +15,12 @@ are the best of a few calls in this one process: 5 rankings, 3 reports,
 verifications and duplications, 2 twenty-trial checks, and 1 of each file
 and CLI step.
 
+The ``child_read_*`` keys time one ``read_prediction_rows`` of the 1e6-row
+continuous CSV and JSONL files in a fresh process, read from disk and through
+a pipe (``cat FILE |`` the process, which opens ``/dev/stdin``), with that
+process's peak RSS (its ``VmHWM``); and the CSV once more with the score of
+its last row made ``abc``, with the row its error names.
+
 The ``small_*_us`` keys time the fixed cost of each call instead, on the
 thousand datasets of 8 to 512 rows of the many-small workload at seed 1
 (``workloads._setup_small(1, FULL)``): the ranking, ``report``, each curve
@@ -30,6 +36,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -53,6 +60,55 @@ def best_of(repeats: int, call) -> float:
         call()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+# one read_prediction_rows call in a fresh process: its seconds, the process's peak RSS, and the
+# data row that an error names (None for a file that reads).  Linux carries ru_maxrss over fork
+# and exec, so a child of this large process would report at least this one's RSS; the peak of
+# the child's own memory is VmHWM, which exec starts afresh.
+CHILD_READ = """
+import json, resource, sys, time
+from lxcim.io import read_prediction_rows
+from lxcim.errors import PredictionFileError
+start, row = time.perf_counter(), None
+try:
+    read_prediction_rows(sys.argv[1], sys.argv[2])
+except PredictionFileError as exc:
+    row = exc.row
+seconds = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+print(json.dumps({"s": seconds, "maxrss_mb": kib / 1024.0, "row": row}))
+"""
+
+
+def read_in_child(path: Path, fmt: str, piped: bool, env: dict) -> dict:
+    """Read ``path`` in a child process, from disk or through a pipe fed by ``cat``."""
+    command = [sys.executable, "-c", CHILD_READ]
+    if not piped:
+        done = subprocess.run([*command, str(path), fmt], env=env, check=True, capture_output=True)
+        return json.loads(done.stdout)
+    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+        done = subprocess.run([*command, "/dev/stdin", fmt], stdin=cat.stdout, env=env, check=True,
+                              capture_output=True)
+        cat.stdout.close()
+    return json.loads(done.stdout)
+
+
+def with_bad_last_row(path: Path, bad: Path) -> Path:
+    """A copy of the CSV file ``path`` whose last row has the score ``abc``."""
+    shutil.copyfile(path, bad)
+    with open(bad, "r+b") as handle:
+        handle.seek(-512, os.SEEK_END)
+        tail = handle.read()
+        start = tail.rindex(b"\n", 0, len(tail) - 1) + 1  # after the line end before the last row
+        handle.seek(start - len(tail), os.SEEK_END)
+        handle.write(b"abc" + tail[tail.index(b",", start):])
+        handle.truncate()
+    return bad
 
 
 def measure(root: Path, workdir: Path) -> dict:
@@ -81,15 +137,22 @@ def measure(root: Path, workdir: Path) -> dict:
         )
         out[f"{shape}_duplicate_ms"] = 1e3 * best_of(3, lambda: lxcim.duplicate_dataset(data, spec))
 
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for fmt in ("csv", "jsonl"):
         path = workdir / f"continuous.{fmt}"
         out[f"write_{fmt}_s"] = best_of(1, lambda: lxcim.write_prediction_file(path, continuous, fmt))
         out[f"ingest_{fmt}_s"] = best_of(1, lambda: lxcim.ingest(path, fmt))
+        for source in ("disk", "pipe"):
+            read = read_in_child(path, fmt, source == "pipe", env)
+            out[f"child_read_{fmt}_{source}_s"] = read["s"]
+            out[f"child_read_{fmt}_{source}_maxrss_mb"] = read["maxrss_mb"]
+    bad = with_bad_last_row(workdir / "continuous.csv", workdir / "bad-last-row.csv")
+    read = read_in_child(bad, "csv", False, env)
+    out["child_read_csv_bad_last_row_s"], out["child_read_csv_bad_last_row_row"] = read["s"], read["row"]
 
     (check_tied,) = workloads._setup_tied(SEED, workloads.FULL, workdir)
     tied_csv = workdir / "check-tied.csv"
     lxcim.write_prediction_file(tied_csv, check_tied.data, "csv")
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for name in ("lxcim", "accuracy"):
         command = [sys.executable, "-m", "lxcim.cli", "check", "--input", str(tied_csv), "--metric", name,
                    "--trials", "100"]
