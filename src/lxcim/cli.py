@@ -4,7 +4,10 @@ Subcommands: ``eval`` (metrics report, optional curve artifacts), ``check``
 (random-mask exchange invariance probe), ``duplicate`` (write the
 class-exchange doubled file), ``synth`` (synthetic prediction files), and
 ``study`` (chance-level convergence table).  The first three take the
-decision threshold as ``--s-star`` (default 0; 0.5 for probability scores).
+decision threshold as ``--s-star`` (default 0).  An exchange mirrors a score
+to ``s_star - (s - s_star)``, which is exact at 0 and can round elsewhere:
+at 0.5, the threshold of probability scores, it can change a confidence by
+one ulp and merge or split a tie.
 
 Exit codes: 0 success / invariant holds, 1 invariance violation, 2 usage
 error, 3 I/O, parse, or metric error (including a confidence or reflection
@@ -65,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingestion.add_argument(
         "--s-star", type=float, default=0.0,
-        help="decision threshold (default: 0; 0.5 for probability scores)",
+        help="decision threshold (default: 0); the exchange's mirror about it is exact "
+        "at 0 and can round elsewhere, e.g. at 0.5 for probability scores",
     )
 
     p_eval = sub.add_parser("eval", parents=[ingestion], help="compute the metrics report")

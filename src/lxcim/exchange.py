@@ -162,17 +162,27 @@ def _exchange(
     return Dataset._from_valid(scores, labels, dataset.weights, weight_order)
 
 
+def _full_exchange(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the full exchange, and the samples at the threshold, which keep their class.
+
+    Shared by :func:`duplicate_dataset` and the identity verifiers; an empty
+    dataset or a reflection that is not finite raises.
+    """
+    if len(dataset) == 0:
+        raise EmptyDatasetError("cannot duplicate an empty dataset")
+    mirror, fixed, finite = _mirror(dataset, spec)
+    if not finite:
+        raise NonFiniteMapError("scores must all be finite")
+    return mirror, fixed
+
+
 def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     """Union of a dataset with its full exchange, in original-then-mirror order.
 
     When no sample sits at the threshold the result carries equal positive and
     negative weight, and its AUROC equals the original dataset's LxCIM.
     """
-    if len(dataset) == 0:
-        raise EmptyDatasetError("cannot duplicate an empty dataset")
-    scores, fixed, finite = _mirror(dataset, spec)
-    if not finite:
-        raise NonFiniteMapError("scores must all be finite")
+    scores, fixed = _full_exchange(dataset, spec)
     labels = dataset.labels
     return Dataset._from_valid(
         np.concatenate((dataset.scores, scores)),

@@ -393,20 +393,14 @@ def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:
 
 
 def _rank_and_score_sweep(dataset: Dataset, spec: DecisionSpec):
-    """The dataset's ranking, and its score sweep or None when one class carries all the weight.
+    """The dataset's ranking, and its score sweep or None when its labels hold one class.
 
-    A ranking error comes first, as in sequence: an empty dataset raises there.
+    Data of one class, empty data included, is only ranked.
     """
-    inputs = _sweep_inputs(dataset)
-    return _rank_and_sweep(dataset, spec, _two_class_sweep, inputs, sweep_error_first=False)
-
-
-def _two_class_sweep(*inputs):
-    """``_sweep(*inputs)``, or None when one class carries all the weight."""
-    try:
-        return _sweep(*inputs)
-    except SingleClassError:
-        return None
+    positives = np.count_nonzero(dataset.labels)
+    if positives == 0 or positives == len(dataset):
+        return rank_by_confidence(dataset, spec), None
+    return _rank_and_sweep(dataset, spec, _sweep_inputs(dataset))
 
 
 # Rows from which the ranking and a sweep run on two threads.  On a 2-core x86
@@ -424,22 +418,18 @@ def _two_cpus() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _rank_and_sweep(dataset: Dataset, spec: DecisionSpec, sweep, inputs, *, sweep_error_first: bool):
-    """``rank_by_confidence(dataset, spec)`` and ``sweep(*inputs)``, on two CPUs when that pays.
+def _rank_and_sweep(dataset: Dataset, spec: DecisionSpec, inputs):
+    """``rank_by_confidence(dataset, spec)`` and ``_sweep(*inputs)``, on two CPUs when that pays.
 
     The caller builds ``inputs`` on its own thread, which alone runs the
-    spec's maps, and ``sweep`` runs no user code.  From ``_HELPER_MIN_N``
-    rows, with two CPUs, a helper thread sweeps under the caller's
-    ``np.errstate`` while this thread ranks; otherwise the two run in
-    sequence.  Either way, when both raise, the sweep's error is raised if
-    ``sweep_error_first`` and the ranking's if not, as in that sequence.
+    spec's maps; the sweep runs no user code.  From ``_HELPER_MIN_N`` rows,
+    with two CPUs, a helper thread sweeps under the caller's
+    ``np.errstate`` while this thread ranks; otherwise the sweep runs
+    first.  Either way, when both raise, the sweep's error is raised.
     """
     if len(dataset) < _HELPER_MIN_N or not _two_cpus():
-        if sweep_error_first:
-            swept = sweep(*inputs)
-            return rank_by_confidence(dataset, spec), swept
-        view = rank_by_confidence(dataset, spec)
-        return view, sweep(*inputs)
+        swept = _sweep(*inputs)
+        return rank_by_confidence(dataset, spec), swept
 
     outcome = []
     errors = np.geterr()  # numpy keeps its error state per thread
@@ -447,7 +437,7 @@ def _rank_and_sweep(dataset: Dataset, spec: DecisionSpec, sweep, inputs, *, swee
     def sweep_on_helper():
         try:
             with np.errstate(**errors):
-                outcome.append(sweep(*inputs))
+                outcome.append(_sweep(*inputs))
         except BaseException as exc:  # re-raised on the calling thread
             outcome.append(exc)
 
@@ -457,10 +447,8 @@ def _rank_and_sweep(dataset: Dataset, spec: DecisionSpec, sweep, inputs, *, swee
         view = rank_by_confidence(dataset, spec)
     finally:
         helper.join()
-        if sweep_error_first and isinstance(outcome[0], BaseException):
+        if isinstance(outcome[0], BaseException):
             raise outcome[0]
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
     return view, outcome[0]
 
 

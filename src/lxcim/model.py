@@ -249,9 +249,6 @@ class SpecValidationReport:
         return tuple(sorted({v.check for v in self.violations}))
 
 
-_SPEC_TOLERANCE = 1e-12
-
-
 def validate_decision_spec(spec: DecisionSpec, grid) -> SpecValidationReport:
     """Probe every DecisionSpec contract on a finite score grid.
 
@@ -261,8 +258,9 @@ def validate_decision_spec(spec: DecisionSpec, grid) -> SpecValidationReport:
     Checks: zero minimum exactly at the threshold, positivity elsewhere,
     strict decrease below / increase above the threshold, confidence symmetry
     under reflection, reflection being a sign-flipping involution that fixes
-    the threshold, the last two up to ``math.isclose`` with relative and
-    absolute tolerance 1e-12.  Violations come in three blocks:
+    the threshold.  Symmetry and the involution are judged bit for bit, as
+    the library compares: a one-ulp change of confidence can merge or split a
+    tie group.  Violations come in three blocks:
     ``minimum-at-threshold``, then ``bi-monotonic`` (each in grid order), then
     per grid point ``reflect-finite``, ``fixed-point``,
     ``confidence-symmetry``, ``involution`` and ``sign-flip``.
@@ -279,18 +277,13 @@ def validate_decision_spec(spec: DecisionSpec, grid) -> SpecValidationReport:
     if not at.any():
         raise ValueError("grid must contain s_star")
 
-    def close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.abs(a - b)
-        near = (diff <= _SPEC_TOLERANCE * np.maximum(np.abs(a), np.abs(b))) | (diff <= _SPEC_TOLERANCE)
-        return (a == b) | (np.isfinite(a) & np.isfinite(b) & near)
-
     # overflow and NaN in the maps are reported as violations, not warned about
     with np.errstate(all="ignore"):
         conf = spec.confidence_at(grid_arr)
         refl = spec.reflect_at(grid_arr)
         conf_refl = spec.confidence_at(refl)
         refl_refl = spec.reflect_at(refl)
-        asymmetric, not_involutive = ~close(conf_refl, conf), ~close(refl_refl, grid_arr)
+        asymmetric, not_involutive = conf_refl != conf, refl_refl != grid_arr
     finite = np.isfinite(refl)
     live = finite & ~at
     below, above = grid_arr < s_star, grid_arr > s_star

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDatasetError, NonFiniteMapError, SingleClassError
+from .errors import EmptyDatasetError, SingleClassError
+from .exchange import _full_exchange
 from .metrics import (
     Curve,
     _accuracy,
@@ -26,7 +27,6 @@ from .metrics import (
     _lxcim,
     _rank_and_sweep,
     _roc_curve,
-    _sweep,
 )
 from .model import Dataset, DecisionSpec, make_abs_spec, rank_by_confidence
 from .model import _CHECK_TOLERANCE, _whole_number
@@ -85,18 +85,15 @@ def _area_left_of(curve: Curve, x_stop: float) -> float:
 def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
     """The dataset's ranking, and the score sweep of its duplicate taken from the duplicate itself.
 
-    The duplicate's sweep inputs are built here, on the calling thread, which
-    alone runs the spec's maps; ``_rank_and_sweep`` may sweep them on a
-    helper thread.  A sweep error comes first, as in sequence.
+    The duplicate's second half comes from ``_full_exchange``, as in
+    ``duplicate_dataset``, and its sweep inputs are built here, on the
+    calling thread, which alone runs the spec's maps; ``_rank_and_sweep``
+    may sweep them on a helper thread.
     """
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDatasetError("cannot duplicate an empty dataset")
-    scores, fixed = dataset.scores, dataset.scores == spec.s_star
+    mirror, fixed = _full_exchange(dataset, spec)
     # negated scores of the original rows, then of their full exchange
-    key = np.concatenate((scores, np.where(fixed, scores, spec.reflect_at(scores))))
-    if not np.isfinite(key).all():
-        raise NonFiniteMapError("scores must all be finite")
+    key = np.concatenate((dataset.scores, mirror))
+    del mirror  # n scores that would otherwise stay alive through the ranking and the sweep
     np.negative(key, out=key)
     # a row at the threshold keeps its class under the exchange; every other row flips it
     negative = dataset.labels == 0
@@ -104,8 +101,8 @@ def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
     # all four buffers come from this thread's malloc arena, which keeps the
     # pages it frees for reuse; a helper's own arena would add its pages to those
     weights = np.concatenate((dataset.weights, dataset.weights))
-    inputs = (key, negative, weights, np.empty(2 * n))
-    return _rank_and_sweep(dataset, spec, _sweep, inputs, sweep_error_first=True)
+    inputs = (key, negative, weights, np.empty(2 * len(dataset)))
+    return _rank_and_sweep(dataset, spec, inputs)
 
 
 @dataclass(frozen=True)

@@ -354,6 +354,7 @@ class TestUsage:
             [sys.executable, "-m", "lxcim.cli", "eval", "--input", str(d0_csv), "--output", "json"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["lxcim"] == 0.625

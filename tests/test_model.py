@@ -295,6 +295,17 @@ class TestValidateDecisionSpec:
             SpecViolation("sign-flip", 2.0, flip.format(0.0)),
         )
 
+    def test_one_ulp_off_the_mirror_is_flagged(self):
+        # at 0.5 the mirror of 0.04 rounds to 0.96, whose confidence is one ulp
+        # below 0.46, and mirroring back misses 0.04 by 3.6e-17
+        assert validate_decision_spec(make_abs_spec(0.5), [0.04, 0.5, 0.96]).violations == (
+            SpecViolation(
+                "confidence-symmetry", 0.04,
+                "confidence(reflect(s))=np.float64(0.45999999999999996) != confidence(s)=np.float64(0.46)",
+            ),
+            SpecViolation("involution", 0.04, "reflect(reflect(s))=np.float64(0.040000000000000036) != s=np.float64(0.04)"),
+        )
+
     def test_overflow_is_reported_not_warned(self):
         # the grid's one step, 2e308, and the reflection of -1e308 overflow
         with warnings.catch_warnings():
@@ -314,7 +325,8 @@ def loop_validate_decision_spec(spec, grid):
     """Reference validator: the per-grid-point loops that the masks replaced.
 
     Kept verbatim, preconditions included, so that the whole-grid version can
-    be compared with it violation for violation, detail text included.
+    be compared with it violation for violation, detail text included; only
+    its symmetry and involution tests now compare exactly, as the validator does.
     """
     grid_arr = np.array(grid, dtype=float)
     if len(grid_arr) == 0:
@@ -329,9 +341,6 @@ def loop_validate_decision_spec(spec, grid):
     conf = spec.confidence_at(grid_arr)
     refl = spec.reflect_at(grid_arr)
     violations = []
-
-    def close(a, b):
-        return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
     for s, c in zip(grid_arr, conf):
         if s == spec.s_star:
@@ -379,11 +388,11 @@ def loop_validate_decision_spec(spec, grid):
                     SpecViolation("fixed-point", float(s), f"reflect(s_star) = {r!r}, expected s_star")
                 )
             continue
-        if not close(cr, c):
+        if cr != c:
             violations.append(
                 SpecViolation("confidence-symmetry", float(s), f"confidence(reflect(s))={cr!r} != confidence(s)={c!r}")
             )
-        if not close(rr, s):
+        if rr != s:
             violations.append(
                 SpecViolation("involution", float(s), f"reflect(reflect(s))={rr!r} != s={s!r}")
             )
@@ -495,9 +504,9 @@ class TestValidatorReference:
         "rel_tol,abs_tol", [(-1.0, 1e-12), (1e-12, -1.0), (0.0, 0.0), (np.nan, 1e-12), (np.inf, 0.0), (0.5, 0.0)]
     )
     def test_matches_loops_on_odd_tolerances(self, grid, rel_tol, abs_tol, stretch):
-        # the tolerances are fixed at 1e-12, so each odd pair is refused as a
-        # keyword; on the same spec the validator still matches the loops, and
-        # a stretch of 1 + 1e-13 stays within the fixed tolerance while 2 does not
+        # the validator takes no tolerance, so each odd pair is refused as a
+        # keyword; on the same spec it still matches the loops, and it compares
+        # exactly: a stretch of 1 + 1e-13 is flagged as 2 is
         spec = DecisionSpec(0.0, np.abs, lambda s: -s * stretch)
         for name, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             with pytest.raises(TypeError, match=name):
@@ -505,7 +514,7 @@ class TestValidatorReference:
         expected = self.reference(spec, grid)
         assert self.current(spec, grid) == expected
         nonzero = any(s != 0.0 for s in grid)
-        assert any(v.check == "involution" for v in expected) == (nonzero and stretch == 2.0)
+        assert any(v.check == "involution" for v in expected) == nonzero
 
 
 class TestRankByConfidence:

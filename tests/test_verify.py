@@ -581,8 +581,7 @@ class TestHelperThread:
             sweeps.add(threading.get_ident())
             return sweep(*args)
 
-        for module in (metrics, verify):
-            monkeypatch.setattr(module, "_sweep", recording_sweep)
+        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
         spec = DecisionSpec(0.0, confidence, reflect)
         caller = threading.get_ident()
         for call in (report, verify_doubling_identity, verify_crossing_point):
@@ -602,19 +601,41 @@ class TestHelperThread:
 
     @pytest.mark.parametrize("call", [report, verify_doubling_identity, verify_crossing_point])
     def test_both_steps_raise_in_the_sequential_order(self, monkeypatch, verify_path, call):
-        # report ranks first and the verifiers sweep first, on either path
+        # the sweep's error comes first, on either path; on two-class data only
+        # a fake sweep raises, so only it reaches this case
         class SweepError(Exception):
             pass
 
         def failing_sweep(*args):
             raise SweepError
 
-        for module in (metrics, verify):
-            monkeypatch.setattr(module, "_sweep", failing_sweep)
+        monkeypatch.setattr(metrics, "_sweep", failing_sweep)
         threads = threading.active_count()
         spec = DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative)
-        with pytest.raises(NonFiniteMapError if call is report else SweepError):
+        with pytest.raises(SweepError):
             call(Dataset([0.5, -0.75, 0.25], [1, 0, 0]), spec)
+        assert threading.active_count() == threads
+
+    def test_one_class_report_is_only_ranked(self, monkeypatch, spec0):
+        # no sweep, and no helper thread whose sweep would be thrown away
+        monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
+        sweeps, during_ranking = [], []
+
+        def recording_sweep(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        def recording_rank(*args):
+            during_ranking.append(threading.active_count())
+            return rank(*args)
+
+        sweep, rank = metrics._sweep, metrics.rank_by_confidence
+        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
+        monkeypatch.setattr(metrics, "rank_by_confidence", recording_rank)
+        threads = threading.active_count()
+        for labels in (0, 1):
+            assert report(above_the_helper_size(80, labels=labels), spec0).auroc is None
+        assert sweeps == [] and during_ranking == [threads, threads]
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -650,6 +671,12 @@ class TestHelperThread:
         for data, spec, error, text in cases:
             with pytest.raises(error, match=text):
                 verify_doubling_identity(data, spec)
+        # the duplicate's builder raises the same for the verifiers and duplicate_dataset
+        for data, spec, error, text in cases[:2]:
+            for call in (duplicate_dataset, verify_doubling_identity, verify_crossing_point):
+                with pytest.raises(error) as raised:
+                    call(data, spec)
+                assert type(raised.value) is error and str(raised.value) == text
 
     @pytest.mark.filterwarnings("error")
     def test_helper_runs_under_the_callers_error_state(self, monkeypatch, spec0):
