@@ -141,9 +141,7 @@ _CHART_TEXT = {
 }
 
 
-def _write_curve_artifacts(directory: Path, curve, stem: str | None = None) -> None:
-    name = stem or curve.kind.value
-    file_io.write_curve_csv(directory / f"{name}.csv", curve)
+def _write_chart(path: Path, curve) -> None:
     title, x_label, y_label = _CHART_TEXT[curve.kind]
     chart = line_chart(
         [Series(curve.kind.value.replace("_", " "), curve.x, curve.y)]
@@ -152,7 +150,17 @@ def _write_curve_artifacts(directory: Path, curve, stem: str | None = None) -> N
         x_label=x_label,
         y_label=y_label,
     )
-    (directory / f"{name}.svg").write_text(chart, encoding="utf-8")
+    path.write_text(chart, encoding="utf-8")
+
+
+def _write_decision_rate_artifacts(directory: Path, cumulative, rate, suffix: str = "") -> None:
+    """The CSV and the chart of both decision-rate curves of one ranking."""
+    cumulative_name, rate_name = (curve.kind.value + suffix for curve in (cumulative, rate))
+    file_io._write_decision_rate_csvs(
+        directory / f"{cumulative_name}.csv", cumulative, directory / f"{rate_name}.csv", rate
+    )
+    _write_chart(directory / f"{cumulative_name}.svg", cumulative)
+    _write_chart(directory / f"{rate_name}.svg", rate)
 
 
 def _cmd_eval(parser, args) -> int:
@@ -169,12 +177,15 @@ def _cmd_eval(parser, args) -> int:
     if args.curves_dir is not None:
         directory = Path(args.curves_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        _write_curve_artifacts(directory, _cumulative_accuracy_curve(view))
-        _write_curve_artifacts(directory, _accuracy_rate_curve(view))
+        _write_decision_rate_artifacts(
+            directory, _cumulative_accuracy_curve(view), _accuracy_rate_curve(view)
+        )
         if sweep is None:
             print("note: single-class data, skipping ROC artifacts", file=sys.stderr)
         else:
-            _write_curve_artifacts(directory, _roc_curve(sweep))
+            roc = _roc_curve(sweep)
+            file_io.write_curve_csv(directory / "roc.csv", roc)
+            _write_chart(directory / "roc.svg", roc)
 
     if args.output == "json":
         print(json.dumps(payload, allow_nan=False))
@@ -249,10 +260,9 @@ def _cmd_study(parser, args) -> int:
         directory = Path(args.curves_dir)
         directory.mkdir(parents=True, exist_ok=True)
         for row in result.rows:
-            _write_curve_artifacts(
-                directory, row.cumulative_curve, f"cumulative_accuracy_n{row.size}"
+            _write_decision_rate_artifacts(
+                directory, row.cumulative_curve, row.rate_curve, f"_n{row.size}"
             )
-            _write_curve_artifacts(directory, row.rate_curve, f"accuracy_rate_n{row.size}")
 
     if args.output == "json":
         print(

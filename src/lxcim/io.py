@@ -18,7 +18,8 @@ read as it comes, never copied whole.
 Floats are written with shortest round-trip precision (``repr``), so write ->
 ingest reproduces scores and weights bit-exactly.  Each distinct magnitude of
 a column is formatted once, the sign prefixed, and rows are written a block
-at a time.
+at a time.  A column that two files share in part, as the two decision-rate
+curves share their x, is formatted once for both.
 """
 
 from __future__ import annotations
@@ -420,6 +421,12 @@ class _FloatTexts:
     def __len__(self) -> int:
         return len(self.inverse)
 
+    def rows_from(self, start: int) -> "_FloatTexts":
+        """The texts of rows ``start:``, sharing the formatted magnitudes."""
+        rows = object.__new__(_FloatTexts)
+        rows.texts, rows.inverse, rows.negative = self.texts, self.inverse[start:], self.negative[start:]
+        return rows
+
     def __getitem__(self, rows: slice) -> np.ndarray:
         texts, negative = self.texts[self.inverse[rows]].astype(object), self.negative[rows]
         if negative.any():
@@ -474,4 +481,19 @@ def write_prediction_file(
 
 def write_curve_csv(path, curve: Curve) -> None:
     """Write a curve's exact breakpoints as x,y rows (no resampling)."""
-    _write_rows(path, b"x,y\r\n", (_FloatTexts(curve.x), b",", _FloatTexts(curve.y), b"\r\n"))
+    _write_curve_rows(path, _FloatTexts(curve.x), curve.y)
+
+
+def _write_decision_rate_csvs(cumulative_path, cumulative: Curve, rate_path, rate: Curve) -> None:
+    """``write_curve_csv`` of both decision-rate curves of one ranking, their x formatted once.
+
+    The accuracy-rate curve's x is the cumulative curve's x after its first
+    point, bit for bit: ``cw[1:] / total`` against ``cw / total``.
+    """
+    x = _FloatTexts(cumulative.x)
+    _write_curve_rows(cumulative_path, x, cumulative.y)
+    _write_curve_rows(rate_path, x.rows_from(1), rate.y)
+
+
+def _write_curve_rows(path, x: _FloatTexts, y) -> None:
+    _write_rows(path, b"x,y\r\n", (x, b",", _FloatTexts(y), b"\r\n"))

@@ -389,7 +389,7 @@ class TestPipedInput:
 
 
 class TestChartBytes:
-    """The SVG files that ``eval`` and ``study`` write, pinned by sha256."""
+    """The SVG and CSV files that ``eval`` and ``study`` write, pinned by sha256."""
 
     EVAL_SVG = {
         "roc.svg": "9a3bac540d5929dd6a05e9b370dc0a1f0f44118587c2043a8fe73288aee54abc",
@@ -403,12 +403,24 @@ class TestChartBytes:
         "accuracy_rate_n25.svg": "bf31b9c846c72c89c484431e54c160b60923cc76b75a754b804ec845066e56e9",
     }
 
+    EVAL_CSV = {
+        "roc.csv": "825c409c0e3ff7b3b22772b1c7732d186b440ffcf315463ae86ee6d8668fa4ed",
+        "cumulative_accuracy.csv": "b6b6942a115cb9bb27075fdb203d292faeae0280f1c0100e21c7c4e67a5a9eef",
+        "accuracy_rate.csv": "fbdc089a03fa304f4fde58c55fe77c074eeeff34dcde81d8a87aeda3f140878b",
+    }
+    STUDY_CSV = {
+        "cumulative_accuracy_n6.csv": "5c10198d5314625ebf30952a12e538d0d6acc17d305b04385ea042399d74946c",
+        "accuracy_rate_n6.csv": "9b84ac1103eaa9db865acf620a0fe829351e6c8c2f56bb26184d4555591e8184",
+        "cumulative_accuracy_n25.csv": "6632737632c67e66af26c9136a977c0984667d5caf39e2b46ebe3629f6f61f6f",
+        "accuracy_rate_n25.csv": "9b062d7088e3cf09b1ed1d1b2f2d4dde5d14d9a7bba13c65cae6d041af0ff4f9",
+    }
+
     @staticmethod
-    def digests(directory):
+    def digests(directory, suffix=".svg"):
         return {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in directory.iterdir()
-            if p.suffix == ".svg"
+            if p.suffix == suffix
         }
 
     def test_eval_charts(self, tmp_path, capsys):
@@ -420,11 +432,33 @@ class TestChartBytes:
         curves = tmp_path / "curves"
         assert run(["eval", "--input", path, "--curves-dir", curves]) == 0
         assert self.digests(curves) == self.EVAL_SVG
+        assert self.digests(curves, ".csv") == self.EVAL_CSV
 
     def test_study_charts(self, tmp_path, capsys):
         curves = tmp_path / "study"
         assert run(["study", "--sizes", "6,25", "--seeds", 2, "--seed", 3, "--curves-dir", curves]) == 0
         assert self.digests(curves) == self.STUDY_SVG
+        assert self.digests(curves, ".csv") == self.STUDY_CSV
+
+    def test_eval_csvs_are_the_public_writers(self, tmp_path, capsys):
+        # tie-free: every row is a breakpoint, so both decision-rate CSVs share a 30000-value x
+        data = random_dataset(np.random.default_rng(23), 30_000)
+        assert len(np.unique(np.abs(data.scores))) == len(data)
+        path = tmp_path / "scores.csv"
+        write_prediction_file(path, data)
+        curves = tmp_path / "curves"
+        assert run(["eval", "--input", path, "--curves-dir", curves]) == 0
+        spec = lxcim.make_abs_spec(0.0)
+        builders = {
+            "cumulative_accuracy": lxcim.cumulative_accuracy_curve(data, spec),
+            "accuracy_rate": lxcim.accuracy_rate_curve(data, spec),
+            "roc": lxcim.roc_curve(data),
+        }
+        assert len(builders["accuracy_rate"]) == len(data)
+        for name, curve in builders.items():
+            expected = tmp_path / f"{name}.csv"
+            lxcim.write_curve_csv(expected, curve)
+            assert (curves / f"{name}.csv").read_bytes() == expected.read_bytes(), name
 
 
 class TestNonFiniteMap:

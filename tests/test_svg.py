@@ -3,7 +3,7 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lxcim.svg as svg
@@ -82,6 +82,67 @@ class TestPolylineBytes:
         chart = line_chart([Series("dot", [0.125], [0.375])])
         assert polylines(chart) == []
         assert '<circle cx="144.00" cy="310.00" r="3"' in chart
+
+
+def near_coordinate(offset, slope):
+    """Values whose coordinate ``offset + slope * value`` lies at a drawn target, give or take an ulp of the value."""
+    targets = st.one_of(
+        st.integers(-(2**18), 2**18).map(lambda k: (k + 0.5) / 100),  # on .xx5, either side of 1024
+        st.sampled_from([1024.0, -1024.0, 1023.995, 1023.994, 1024.005, -1023.995]),
+        st.floats(-0.01, 0.01),  # prints 0.00 or -0.00
+        st.floats(-1e6, 1e6),
+    )
+
+    def place(target, step):
+        value = (target - offset) / slope
+        return float(np.nextafter(value, step * np.inf)) if step else value
+
+    return st.builds(place, targets, st.sampled_from([-1, 0, 1]))
+
+
+ANY_FINITE = st.one_of(
+    st.floats(-1e305, 1e305),  # every finite value whose coordinate stays finite
+    st.floats(-1e-300, 1e-300),  # subnormals and signed zeros
+)
+X_VALUES = st.one_of(ANY_FINITE, near_coordinate(svg._MARGIN_LEFT, svg._PLOT_W))
+Y_VALUES = st.one_of(ANY_FINITE, near_coordinate(svg._MARGIN_TOP + svg._PLOT_H, -svg._PLOT_H))
+
+
+class TestPolylineFallback:
+    """Coordinates the tables cannot prove exact are formatted one by one, in place."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(X_VALUES, Y_VALUES), min_size=2, max_size=40))
+    def test_matches_per_point_reference(self, points):
+        x, y = zip(*points)
+        assert polylines(line_chart([Series("s", x, y)])) == [reference_points(x, y)]
+
+    def test_each_kind_of_fallback_in_one_series(self):
+        # coordinates: a tiny negative, the bound, a huge one, a true tie .125, a near tie .285
+        x = [float(np.nextafter(-0.1, -1.0)), 1.5, 1e300, -1e-310, 0.125 / 640, (0.285 - 64) / 640, 0.5]
+        y = [1.0, 0.0, -1e300, 5e-324, 1.0, 1.0 - 1e-9, 0.5]
+        (points,) = polylines(line_chart([Series("s", x, y)]))
+        assert points == reference_points(x, y)
+        assert points.startswith("-0.00,40.00 1024.00,472.00 6400000")
+        assert points.endswith(" 64.12,40.00 0.28,40.00 384.00,256.00")
+
+
+class TestNonFinite:
+    """A series that would put ``nan`` or ``inf`` into the SVG is rejected."""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf]),
+            ([np.nan], [0.5]),
+            ([0.0, 1.0], [0.0, -np.inf]),
+            ([0.0, 1e308], [0.0, 1.0]),  # finite, but the pixel coordinate overflows
+        ],
+        ids=["nan-and-inf", "one-point-nan", "minus-inf", "overflowing-coordinate"],
+    )
+    def test_raises_value_error(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            line_chart([Series("s", [0.0, 1.0], [0.0, 1.0]), Series("bad", x, y)])
 
 
 AWKWARD_TEXT = [

@@ -21,6 +21,13 @@ a pipe (``cat FILE |`` the process, which opens ``/dev/stdin``), with that
 process's peak RSS (its ``VmHWM``); and the CSV once more with the score of
 its last row made ``abc``, with the row its error names.
 
+The ``roundtrip_*`` keys time the curve artifacts of ``lxcim eval
+--curves-dir`` on the file-roundtrip data of ``ROOT/perfbench`` at seed 1
+(30000 continuous rows): ``write_curve_csv`` and a one-series ``line_chart``
+of each of the three public curves, in this process, the best of 5 calls; and
+the wall time of ``python -m lxcim.cli eval --output json --curves-dir`` on
+that data written as CSV, the best of 5 runs.
+
 The ``small_*_us`` keys time the fixed cost of each call instead, on the
 thousand datasets of 8 to 512 rows of the many-small workload at seed 1
 (``workloads._setup_small(1, FULL)``): the ranking, ``report``, each curve
@@ -159,9 +166,37 @@ def measure(root: Path, workdir: Path) -> dict:
         out[f"check_tied_cli_check100_{name}_s"] = best_of(
             1, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
         )
+    out.update(measure_roundtrip(spec, workdir, env))
     out.update(measure_small(spec, metric, workdir))
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
+
+
+def measure_roundtrip(spec, workdir: Path, env: dict) -> dict:
+    """Milliseconds to write each curve's CSV and chart, and seconds of the eval CLI that writes them."""
+    import lxcim
+    import workloads
+    from lxcim.svg import Series, line_chart
+
+    (case,) = workloads._setup_roundtrip(SEED, workloads.FULL, workdir)
+    curves = {
+        "cumulative_accuracy": lxcim.cumulative_accuracy_curve(case.data, spec),
+        "accuracy_rate": lxcim.accuracy_rate_curve(case.data, spec),
+        "roc": lxcim.roc_curve(case.data),
+    }
+    out: dict = {"roundtrip_rows": len(case.data)}
+    for kind, curve in curves.items():
+        path = workdir / f"{kind}.csv"
+        out[f"roundtrip_write_curve_csv_{kind}_ms"] = 1e3 * best_of(5, lambda: lxcim.write_curve_csv(path, curve))
+        out[f"roundtrip_line_chart_{kind}_ms"] = 1e3 * best_of(
+            5, lambda: line_chart([Series(kind, curve.x, curve.y)])
+        )
+    command = [sys.executable, "-m", "lxcim.cli", "eval", "--input", str(case.csv), "--output", "json",
+               "--curves-dir", str(workdir / "curves")]
+    out["roundtrip_cli_eval_curves_s"] = best_of(
+        5, lambda: subprocess.run(command, env=env, check=True, capture_output=True)
+    )
+    return out
 
 
 def measure_small(spec, metric, workdir: Path) -> dict:
