@@ -7,11 +7,13 @@ class-exchange doubled file), ``synth`` (synthetic prediction files), and
 decision threshold as ``--s-star`` (default 0).  An exchange mirrors a score
 to ``s_star - (s - s_star)``, which is exact at 0 and can round elsewhere:
 at 0.5, the threshold of probability scores, it can change a confidence by
-one ulp and merge or split a tie.
+one ulp and merge or split a tie.  ``check`` then exits 3 and names the first
+row whose exchange is not exact, instead of reporting a violation.
 
 Exit codes: 0 success / invariant holds, 1 invariance violation, 2 usage
 error, 3 I/O, parse, or metric error (including a confidence or reflection
-that overflows at the given threshold).
+that overflows at the given threshold, and a violation found on data whose
+exchange is not exact).
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingestion.add_argument(
         "--s-star", type=float, default=0.0,
         help="decision threshold (default: 0); the exchange's mirror about it is exact "
-        "at 0 and can round elsewhere, e.g. at 0.5 for probability scores",
+        "at 0 and can round elsewhere, e.g. at 0.5 for probability scores: a check that "
+        "fails on such data exits 3 and names the first row whose exchange is not exact",
     )
 
     p_eval = sub.add_parser("eval", parents=[ingestion], help="compute the metrics report")

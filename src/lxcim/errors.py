@@ -13,6 +13,7 @@ __all__ = [
     "InvalidMaskError",
     "InfeasiblePerturbationError",
     "NonFiniteMapError",
+    "InexactExchangeError",
     "PredictionFileError",
     "ParseError",
     "UnknownLabelError",
@@ -46,6 +47,10 @@ class NonFiniteMapError(LxcimError, ValueError):
 
     Usually a threshold so far from the scores that ``s - s_star`` overflows.
     """
+
+
+class InexactExchangeError(LxcimError):
+    """A check or identity failed on data whose exchange the spec does not make exact."""
 
 
 class PredictionFileError(LxcimError):

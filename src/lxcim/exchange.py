@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     EmptyDatasetError,
+    InexactExchangeError,
     InfeasiblePerturbationError,
     InvalidMaskError,
     LxcimError,
@@ -110,17 +111,13 @@ class ExchangeMask:
         return tuple(self.indices.tolist())
 
 
-def _coerce_mask(mask) -> ExchangeMask:
-    return mask if isinstance(mask, ExchangeMask) else ExchangeMask(mask)
-
-
 def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
     """Exchange the samples at the masked positions, leaving the rest alone.
 
     Exchanging a sample reflects its score and flips its label; a sample
     sitting exactly at the threshold is its own exchange.
     """
-    idx = _coerce_mask(mask).indices
+    idx = (mask if isinstance(mask, ExchangeMask) else ExchangeMask(mask)).indices
     if len(idx) and idx[-1] >= len(dataset):
         raise InvalidMaskError(
             f"mask index {int(idx[-1])} out of range for dataset of size {len(dataset)}"
@@ -142,6 +139,33 @@ def _mirror(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarra
     fixed = scores == spec.s_star
     mirror = np.where(fixed, scores, spec.reflect_at(scores))
     return mirror, fixed, bool(np.isfinite(mirror).all())
+
+
+def _require_exact(dataset: Dataset, spec: DecisionSpec, mirror: np.ndarray, fixed: np.ndarray) -> None:
+    """Raise ``InexactExchangeError`` on the first row whose exchange is not exact.
+
+    ``mirror`` and ``fixed`` are the dataset's :func:`_mirror`.  Each row off
+    the threshold with a finite mirror must keep its confidence bit for bit,
+    land on the other side of ``s_star``, and be mirrored back to its score:
+    a one-ulp change of confidence can merge or split a tie group.  The check
+    and the verifiers apply this rule before a verdict that does not pass.
+    """
+    scores, a = dataset.scores, spec.s_star
+    with np.errstate(over="ignore", invalid="ignore"):
+        conf, conf_mirror, back = spec.confidence_at(scores), spec.confidence_at(mirror), spec.reflect_at(mirror)
+    changed, stays = conf_mirror != conf, np.where(scores > a, mirror >= a, mirror <= a)
+    bad = ~fixed & np.isfinite(mirror) & (changed | stays | (back != scores))
+    if bad.any():
+        i = int(bad.argmax())
+        what = (
+            f"changes its confidence from {float(conf[i])!r} to {float(conf_mirror[i])!r}" if changed[i]
+            else "is not on the other side of the threshold" if stays[i]
+            else f"mirrors back to {float(back[i])!r}"
+        )
+        raise InexactExchangeError(
+            f"row {i + 1}: the exchange of score {float(scores[i])!r} gives {float(mirror[i])!r}, "
+            f"which {what}: the exchange is not exact at s_star = {a!r}"
+        )
 
 
 def _exchange(
@@ -254,8 +278,11 @@ def check_rank_lxc_invariance(
     metric failing on an exchanged dataset it accepted originally (e.g. AUROC
     turning single-class), is recorded as a witness; a ``NonFiniteMapError``
     is raised, not recorded.  A NaN or infinite value deviates by inf, and on
-    the dataset itself raises ``LxcimError``.  Trials run sequentially from
-    one seeded generator, so a witness is reproducible from (seed, trial).
+    the dataset itself raises ``LxcimError``.  Before the first witness is
+    recorded, an exchange that the spec does not make exact raises
+    ``InexactExchangeError`` (see :func:`_require_exact`).  Trials run
+    sequentially from one seeded generator, so a witness is reproducible
+    from (seed, trial).
 
     A trial costs one O(N) exchange plus one metric call.  The full
     exchange is reflected once per check; a trial draws its fair bits and
@@ -281,22 +308,17 @@ def check_rank_lxc_invariance(
         take = rng.random(n) < 0.5
         exchanged = _exchange(dataset, take, mirror, finite, flip, data._weight_order)
         try:
-            value = float(metric(exchanged))
+            value, error = float(metric(exchanged)), None
         except NonFiniteMapError:
             raise  # the spec fails on exchanged scores: an error, not a witness
         except LxcimError as exc:
-            max_deviation = math.inf
-            if witness is None:
-                witness = ExchangeWitness(
-                    trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=None,
-                    error=type(exc).__name__,
-                )
-            continue
-        deviation = _deviation(value, baseline)
+            value, error = None, type(exc).__name__
+        deviation = _deviation(value, baseline) if error is None else math.inf
         max_deviation = max(max_deviation, deviation)
         if deviation > _CHECK_TOLERANCE and witness is None:
+            _require_exact(dataset, spec, mirror, fixed)  # an inexact exchange is no witness
             witness = ExchangeWitness(
-                trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=value, error=None
+                trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=value, error=error
             )
     return InvarianceReport(
         baseline=baseline,

@@ -362,8 +362,11 @@ def build_dataset(
     At most two distinct label values may appear, and if two do, one must be
     ``positive_label``.  A file whose only label differs from
     ``positive_label`` is a legal all-negative dataset (AUROC is undefined
-    there, not an error).
+    there, not an error).  ``positive_label`` must be a ``str``, as the
+    file's labels are: ValueError otherwise.
     """
+    if not isinstance(positive_label, str):
+        raise ValueError(f"positive_label must be a str, got {positive_label!r}")
     if not len(rows):
         raise ParseError("file contains no data rows", path=path)
     seen = list(dict.fromkeys(rows.labels))  # distinct labels in order of first appearance

@@ -22,11 +22,8 @@ __all__ = [
     "Dataset",
     "DecisionSpec",
     "RankedView",
-    "SpecViolation",
-    "SpecValidationReport",
     "predict",
     "make_abs_spec",
-    "validate_decision_spec",
     "rank_by_confidence",
 ]
 
@@ -162,6 +159,13 @@ class Dataset:
         return f"Dataset(n={len(self)}, total_weight={self.total_weight:g})"
 
 
+def _threshold(value) -> float:
+    """``value`` as a finite float; ValueError for a boolean, which ``float`` reads as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(float(value)):
+        raise ValueError(f"s_star must be a finite number, not a boolean, got {value!r}")
+    return float(value)
+
+
 def _apply_map(fn: Callable, values: np.ndarray) -> np.ndarray:
     """Apply a vectorized map over a float array."""
     out = np.asarray(fn(values), dtype=float)
@@ -191,9 +195,7 @@ class DecisionSpec:
     reflect: Callable
 
     def __post_init__(self) -> None:
-        if not math.isfinite(float(self.s_star)):
-            raise ValueError(f"s_star must be finite, got {self.s_star!r}")
-        object.__setattr__(self, "s_star", float(self.s_star))
+        object.__setattr__(self, "s_star", _threshold(self.s_star))
 
     def confidence_at(self, scores) -> np.ndarray:
         return _apply_map(self.confidence, np.asarray(scores, dtype=float))
@@ -222,107 +224,13 @@ def make_abs_spec(s_star: float = 0.0) -> DecisionSpec:
     it is negation, which keeps confidence symmetry and the involution
     bit-exact.  At any other s_star it can round: at s_star = 0.5 the mirror
     of 0.04 rounds to 0.96, whose confidence is one ulp below that of 0.04,
-    so an exchange can merge or split a tie (ROADMAP item 14).
+    so an exchange can merge or split a tie.  The transforms apply it as it
+    is; a check or verifier that would fail on such data raises
+    ``InexactExchangeError`` instead (ROADMAP item 14).  ``s_star`` must be
+    a finite number, not a boolean.
     """
-    a = float(s_star)
+    a = _threshold(s_star)
     return DecisionSpec(s_star=a, confidence=lambda s: abs(s - a), reflect=lambda s: a - (s - a))
-
-
-@dataclass(frozen=True)
-class SpecViolation:
-    """One violated DecisionSpec contract, located at a grid score."""
-
-    check: str
-    s: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class SpecValidationReport:
-    violations: tuple[SpecViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def checks_failed(self) -> tuple[str, ...]:
-        return tuple(sorted({v.check for v in self.violations}))
-
-
-def validate_decision_spec(spec: DecisionSpec, grid) -> SpecValidationReport:
-    """Probe every DecisionSpec contract on a finite score grid.
-
-    Violations are reported, not raised, so a caller can inspect all of them
-    at once.  The grid must be sorted ascending and contain ``s_star``.
-
-    Checks: zero minimum exactly at the threshold, positivity elsewhere,
-    strict decrease below / increase above the threshold, confidence symmetry
-    under reflection, reflection being a sign-flipping involution that fixes
-    the threshold.  Symmetry and the involution are judged bit for bit, as
-    the library compares: a one-ulp change of confidence can merge or split a
-    tie group.  Violations come in three blocks:
-    ``minimum-at-threshold``, then ``bi-monotonic`` (each in grid order), then
-    per grid point ``reflect-finite``, ``fixed-point``,
-    ``confidence-symmetry``, ``involution`` and ``sign-flip``.
-    """
-    grid_arr = _as_float_array(grid, "grid")
-    if len(grid_arr) == 0:
-        raise ValueError("grid must be nonempty")
-    if not np.isfinite(grid_arr).all():
-        raise ValueError("grid must be finite")
-    if (grid_arr[1:] < grid_arr[:-1]).any():
-        raise ValueError("grid must be sorted ascending")
-    s_star = spec.s_star
-    at = grid_arr == s_star
-    if not at.any():
-        raise ValueError("grid must contain s_star")
-
-    # overflow and NaN in the maps are reported as violations, not warned about
-    with np.errstate(all="ignore"):
-        conf = spec.confidence_at(grid_arr)
-        refl = spec.reflect_at(grid_arr)
-        conf_refl = spec.confidence_at(refl)
-        refl_refl = spec.reflect_at(refl)
-        asymmetric, not_involutive = conf_refl != conf, refl_refl != grid_arr
-    finite = np.isfinite(refl)
-    live = finite & ~at
-    below, above = grid_arr < s_star, grid_arr > s_star
-    # the grid starts at or below s_star and ends at or above it, so the
-    # wrapped-around pair (last, first) is never on one side
-    conf_prev = np.roll(conf, 1)
-    not_falling = below & np.roll(below, 1) & ~(conf < conf_prev)
-    not_rising = above & np.roll(above, 1) & ~(conf > conf_prev)
-    flipped = (refl != s_star) & ((refl > s_star) != above)
-    pair = "f({p!r})={cp!r}, f({s!r})={c!r}"
-    blocks = (
-        (
-            ("minimum-at-threshold", at & (conf != 0.0), "confidence(s_star) = {c!r}, expected 0"),
-            ("minimum-at-threshold", ~at & ~(conf > 0.0), "confidence = {c!r}, expected > 0 away from s_star"),
-        ),
-        (
-            ("bi-monotonic", not_falling, "confidence must strictly decrease below s_star: " + pair),
-            ("bi-monotonic", not_rising, "confidence must strictly increase above s_star: " + pair),
-        ),
-        (
-            ("reflect-finite", ~finite, "reflect = {r!r}"),
-            ("fixed-point", finite & at & (refl != s_star), "reflect(s_star) = {r!r}, expected s_star"),
-            ("confidence-symmetry", live & asymmetric, "confidence(reflect(s))={cr!r} != confidence(s)={c!r}"),
-            ("involution", live & not_involutive, "reflect(reflect(s))={rr!r} != s={s!r}"),
-            ("sign-flip", live & ~flipped, "reflect(s)={r!r} is not on the opposite side of s_star"),
-        ),
-    )
-
-    violations = []
-    for block in blocks:
-        checks, masks, texts = zip(*block)
-        # row-major: grid order, then the order of the checks within a block
-        for i, k in zip(*np.column_stack(masks).nonzero()):
-            s = grid_arr[i]
-            detail = texts[k].format(
-                s=s, c=conf[i], p=grid_arr[i - 1], cp=conf[i - 1], r=refl[i], cr=conf_refl[i], rr=refl_refl[i]
-            )
-            violations.append(SpecViolation(checks[k], float(s), detail))
-    return SpecValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True, eq=False)

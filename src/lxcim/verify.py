@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, SingleClassError
-from .exchange import _full_exchange
+from .exchange import _full_exchange, _require_exact
 from .metrics import (
     Curve,
     _accuracy,
@@ -131,22 +131,23 @@ def verify_doubling_identity(dataset: Dataset, spec: DecisionSpec) -> DoublingRe
     H is the area under ROC(duplicated) left of FPR = 1 - ACC.  Exact only
     when no sample sits at the threshold (such samples keep their class under
     duplication and unbalance the two sides).  The report passes when both
-    deviations are at most its ``tolerance``, 1e-9.
+    deviations are at most its ``tolerance``, 1e-9.  A report that would not
+    pass raises ``InexactExchangeError`` instead when the spec's exchange of
+    some row is not exact, as a check's witness does.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)  # one sweep for the AUROC and the ROC
     lx = _lxcim(view)
     au = _auroc(sweep)
     acc = _accuracy(view)
     h = _area_left_of(_roc_curve(sweep), 1.0 - acc)
-    return DoublingReport(
-        lxcim_original=lx,
-        auroc_duplicated=au,
-        accuracy_original=acc,
-        h_area=h,
-        doubling_deviation=abs(au - lx),
-        area_identity_deviation=abs(au - (acc * acc + 2.0 * h)),
+    rep = DoublingReport(
+        lxcim_original=lx, auroc_duplicated=au, accuracy_original=acc, h_area=h,
+        doubling_deviation=abs(au - lx), area_identity_deviation=abs(au - (acc * acc + 2.0 * h)),
         tolerance=_CHECK_TOLERANCE,
     )
+    if not rep.passed:
+        _require_exact(dataset, spec, *_full_exchange(dataset, spec))
+    return rep
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ def verify_crossing_point(dataset: Dataset, spec: DecisionSpec) -> CrossingRepor
     Along the curve x + y - 1 is strictly increasing (both coordinates are
     non-decreasing and never simultaneously constant), so the crossing is
     unique; it must land at (1 - ACC, ACC), within the report's
-    ``tolerance`` of 1e-9.
+    ``tolerance`` of 1e-9.  An inexact exchange raises as in
+    :func:`verify_doubling_identity`.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)
     curve = _roc_curve(sweep)
@@ -189,9 +191,10 @@ def verify_crossing_point(dataset: Dataset, spec: DecisionSpec) -> CrossingRepor
         )
     expected = (1.0 - acc, acc)
     deviation = max(abs(found[0] - expected[0]), abs(found[1] - expected[1]))
-    return CrossingReport(
-        expected=expected, found=found, deviation=deviation, tolerance=_CHECK_TOLERANCE
-    )
+    rep = CrossingReport(expected=expected, found=found, deviation=deviation, tolerance=_CHECK_TOLERANCE)
+    if not rep.passed:
+        _require_exact(dataset, spec, *_full_exchange(dataset, spec))
+    return rep
 
 
 class GeneratorKind(enum.Enum):

@@ -228,6 +228,45 @@ class TestCheck:
         capsys.readouterr()
 
 
+def probability_csvs(directory: Path):
+    """2000 two-decimal probabilities with fair-coin labels, as written and shifted by -0.5."""
+    rng = np.random.default_rng(0)
+    p, labels = np.round(rng.random(2000), 2), rng.integers(0, 2, 2000)
+    write_prediction_file(directory / "prob.csv", Dataset(p, labels))
+    write_prediction_file(directory / "centred.csv", Dataset(p - 0.5, labels))
+    return directory / "prob.csv", directory / "centred.csv"
+
+
+class TestInexactExchange:
+    """At --s-star 0.5 the mirror rounds on 2-decimal scores: a failing check is a data error, not a violation."""
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "auroc"])
+    def test_failing_check_exits_three_naming_the_row(self, tmp_path, capsys, metric):
+        prob, _ = probability_csvs(tmp_path)
+        code = run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", metric])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("lxcim: row ") and line.endswith(": the exchange is not exact at s_star = 0.5")
+        # the named row's mirror does round: its confidence moves
+        row = int(line.split()[2].rstrip(":"))
+        score = float(ingest(prob)[0].scores[row - 1])
+        assert abs((0.5 - (score - 0.5)) - 0.5) != abs(score - 0.5)
+        assert f"the exchange of score {score!r} gives " in line
+
+    def test_accuracy_never_ranks_and_holds(self, tmp_path, capsys):
+        prob, _ = probability_csvs(tmp_path)
+        assert run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", "accuracy"]) == 0
+        assert "max_deviation=0.000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy"])
+    def test_centred_scores_hold_exactly(self, tmp_path, capsys, metric):
+        _, centred = probability_csvs(tmp_path)
+        assert run(["check", "--input", centred, "--trials", 20, "--metric", metric]) == 0
+        out = capsys.readouterr().out
+        assert "max_deviation=0.000e+00" in out and "invariant holds" in out
+
+
 class TestDuplicate:
     def test_doubles_rows_and_hits_lxcim_as_auroc(self, d0_csv, tmp_path, capsys):
         out_path = tmp_path / "doubled.csv"

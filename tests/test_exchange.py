@@ -12,6 +12,7 @@ from lxcim import (
     EmptyDatasetError,
     ExchangeMask,
     ExchangeWitness,
+    InexactExchangeError,
     InfeasiblePerturbationError,
     InvalidMaskError,
     InvarianceReport,
@@ -34,7 +35,7 @@ from lxcim import (
     report,
 )
 
-from lxcim import model
+from lxcim import exchange, model
 from lxcim.model import _WeightOrder
 
 from conftest import random_dataset
@@ -327,8 +328,34 @@ def reference_exchange(dataset, mask, spec):
     return Dataset(scores, labels, dataset.weights)
 
 
+def reference_exactness(dataset, spec):
+    """The exactness rule, one row at a time: raise InexactExchangeError at the first inexact row."""
+    a = spec.s_star
+    for row, s in enumerate(dataset.scores.tolist(), start=1):
+        m = float(spec.reflect_at(s))
+        if s == a or not math.isfinite(m):
+            continue
+        c, cm, back = float(spec.confidence_at(s)), float(spec.confidence_at(m)), float(spec.reflect_at(m))
+        if cm != c:
+            what = f"changes its confidence from {c!r} to {cm!r}"
+        elif (m >= a) if s > a else (m <= a):
+            what = "is not on the other side of the threshold"
+        elif back != s:
+            what = f"mirrors back to {back!r}"
+        else:
+            continue
+        raise InexactExchangeError(
+            f"row {row}: the exchange of score {s!r} gives {m!r}, which {what}: "
+            f"the exchange is not exact at s_star = {a!r}"
+        )
+
+
 def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
-    """The check loop with a validated ExchangeMask and Dataset on every trial."""
+    """The check loop with a validated ExchangeMask and Dataset on every trial.
+
+    Before its first witness it applies the exactness rule, so an inexact
+    exchange raises instead of giving a witness.
+    """
     baseline = float(metric(dataset))
     rng = np.random.default_rng(seed)
     max_deviation = 0.0
@@ -341,6 +368,7 @@ def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
         except LxcimError as exc:
             max_deviation = math.inf
             if witness is None:
+                reference_exactness(dataset, spec)
                 witness = ExchangeWitness(
                     trial=trial, mask=mask, value=None, error=type(exc).__name__
                 )
@@ -348,6 +376,7 @@ def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
         deviation = abs(value - baseline)
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
+            reference_exactness(dataset, spec)
             witness = ExchangeWitness(trial=trial, mask=mask, value=value, error=None)
     return baseline, trials, tolerance, max_deviation, witness
 
@@ -392,9 +421,10 @@ class TestCheckOracle:
     def assert_same(self, metric, dataset, spec, trials, seed):
         try:
             expected = report_bits(*reference_check(metric, dataset, spec, trials, seed))
-        except LxcimError as exc:  # the baseline itself is undefined
-            with pytest.raises(type(exc)):
+        except LxcimError as exc:  # the baseline itself is undefined, or the exchange is inexact
+            with pytest.raises(type(exc)) as raised:
                 check_rank_lxc_invariance(metric, dataset, spec, trials=trials, seed=seed)
+            assert str(raised.value) == str(exc)
             return
         rep = check_rank_lxc_invariance(metric, dataset, spec, trials=trials, seed=seed)
         got = report_bits(rep.baseline, rep.trials, rep.tolerance, rep.max_deviation, rep.witness)
@@ -411,6 +441,9 @@ class TestCheckOracle:
         for kind in ("at-threshold", "prob"):
             dataset, spec = oracle_data(kind, 2000, 7)
             assert np.any(dataset.scores == spec.s_star)
+        # the mirror about 0.5 rounds on tenths, so the oracle also compares the rule's error
+        with pytest.raises(InexactExchangeError):
+            reference_exactness(*oracle_data("prob", 2000, 7))
         assert np.all(oracle_data("tied", 50, 0)[0].weights == 1.0)
         assert len(np.unique(oracle_data("tied", 50, 1)[0].weights)) == 50
 
@@ -445,6 +478,69 @@ class TestCheckOracle:
         self.assert_same(auroc, d, spec0, trials=50, seed=0)
         rep = check_rank_lxc_invariance(auroc, d, spec0, trials=50, seed=0)
         assert rep.witness.error == "SingleClassError"
+
+
+TWO_ROWS = Dataset([0.04, 0.96], [1, 1])  # at s_star = 0.5 the mirror of 0.04 rounds to 0.96
+ROW_1_CONFIDENCE = (
+    "^row 1: the exchange of score 0.04 gives 0.96, which changes its confidence from 0.46 to "
+    "0.45999999999999996: the exchange is not exact at s_star = 0.5$"
+)
+
+
+class TestExactnessRule:
+    """A check that would record a witness on data whose exchange is not exact raises instead."""
+
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc"])
+    def test_two_rows_at_one_half(self, metric):
+        spec = make_abs_spec(0.5)
+        with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
+            check_rank_lxc_invariance(ORACLE_METRICS[metric](spec), TWO_ROWS, spec, trials=20)
+
+    def test_transforms_apply_the_spec_as_given(self):
+        # the exchange of row 1 ties it with row 2; no rule runs in a transform
+        spec = make_abs_spec(0.5)
+        assert exchange_subset(TWO_ROWS, [0], spec) == Dataset([0.96, 0.96], [0, 1])
+        assert duplicate_dataset(TWO_ROWS, spec).scores.tolist() == [0.04, 0.96, 0.96, 0.5 - (0.96 - 0.5)]
+        assert lxcim(TWO_ROWS, spec) == 0.25 and lxcim(exchange_subset(TWO_ROWS, [0], spec), spec) == 0.5
+
+    def test_passing_check_is_unchanged_on_inexact_data(self):
+        spec = make_abs_spec(0.5)
+        rep = check_rank_lxc_invariance(partial(accuracy, spec=spec), TWO_ROWS, spec, trials=20)
+        assert rep.passed and rep.max_deviation == 0.0
+
+    @pytest.mark.parametrize(
+        "reflect, message",
+        [
+            # keeps |s| but not the side of the threshold
+            (lambda s: s + 0.0, "^row 1: the exchange of score -1.0 gives -1.0, which is not on the other side"),
+            # exact on row 1; triples the confidence of -1.5
+            (lambda s: np.where(np.abs(s) == 1.5, -2.0 * s, -s),
+             "^row 2: the exchange of score -1.5 gives 3.0, which changes its confidence from 1.0 to 3.0: "),
+            # keeps floor(|s|) and the side, but mirrors -1.0 back to -1.5
+            (lambda s: -s - 0.25 * np.sign(s),
+             "^row 1: the exchange of score -1.0 gives 1.25, which mirrors back to -1.5: "),
+        ],
+        ids=["side", "confidence", "involution"],
+    )
+    def test_message_names_the_first_failing_property(self, reflect, message):
+        spec = DecisionSpec(0.0, lambda s: np.floor(np.abs(s)), reflect)
+        d = Dataset([-1.0, -1.5, 0.0, 2.0], [1, 0, 1, 1])
+        with pytest.raises(InexactExchangeError, match=message):
+            check_rank_lxc_invariance(lambda x: float(np.sum(x.labels)), d, spec, trials=20)
+
+    def test_rows_at_the_threshold_and_unreflectable_rows_are_not_judged(self):
+        # the reflection sends s* to 3.0 and 6.0 to inf; the other rows are exact
+        spec = DecisionSpec(0.0, np.abs, lambda s: np.where(s == 0.0, 3.0, np.where(s > 5.0, np.inf, -s)))
+        d = Dataset([0.0, 6.0, 1.0, -2.0], [1, 0, 0, 1])
+        assert exchange._require_exact(d, spec, *exchange._mirror(d, spec)[:2]) is None
+        rep = check_rank_lxc_invariance(auroc, Dataset([0.0, 1.0, -2.0], [1, 0, 1]), spec, trials=20, seed=0)
+        assert not rep.passed
+
+    def test_a_map_that_overflows_gives_no_warning(self):
+        # the mirror of 1.0 is finite, and reflecting it back overflows
+        spec = DecisionSpec(0.0, np.abs, lambda s: np.where(s == 1.0, -1e308, -1e10 * s))
+        with pytest.raises(InexactExchangeError, match="^row 1: .* gives -1e\\+308, which changes its confidence"):
+            check_rank_lxc_invariance(lambda x: float(x.labels[0]), Dataset([1.0, -2.0], [1, 0]), spec, trials=20)
 
 
 class TestCheckTrialCost:

@@ -625,6 +625,19 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             read_prediction_rows(tmp_path / "p.xml", "xml")
 
+    @pytest.mark.parametrize("positive", [1, 0, np.int64(1), b"1", None], ids=repr)
+    @pytest.mark.parametrize("only", ["0", "1"])
+    def test_positive_label_must_be_text(self, tmp_path, only, positive):
+        # labels are read as text: the int 1 equals no label, and its __eq__ gives
+        # NotImplemented, which would count as a match on every row
+        path = write(tmp_path / "p.csv", f"score,label\n0.5,{only}\n-0.5,{only}\n")
+        with pytest.raises(ValueError, match="positive_label must be a str"):
+            build_dataset(read_prediction_rows(path), positive)
+        with pytest.raises(ValueError, match="positive_label must be a str"):
+            ingest(path, "csv", positive)
+        dataset, _, negative = build_dataset(read_prediction_rows(path), "1")
+        assert dataset.labels.tolist() == [int(only)] * 2 and negative == (None if only == "1" else "0")
+
 
 def reference_prediction_file(path, dataset, fmt, positive_label="1", negative_label="0"):
     """The row-at-a-time writer that the column writer must match byte for byte."""

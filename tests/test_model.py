@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +12,9 @@ from lxcim import (
     make_abs_spec,
     predict,
     rank_by_confidence,
-    validate_decision_spec,
 )
 from lxcim import model
-from lxcim.model import DecisionSpec, SpecValidationReport, SpecViolation, _sharing_weight_order, _WeightOrder
+from lxcim.model import DecisionSpec, _sharing_weight_order, _WeightOrder
 
 from conftest import random_dataset
 
@@ -166,355 +164,18 @@ class TestAbsSpec:
         with pytest.raises(ValueError):
             make_abs_spec(float("nan"))
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    def test_rejects_boolean_threshold(self, flag):
+        # float() reads a boolean as 1.0 or 0.0, which would pass for a threshold
+        with pytest.raises(ValueError, match="not a boolean"):
+            make_abs_spec(flag)
+        with pytest.raises(ValueError, match="not a boolean"):
+            DecisionSpec(s_star=flag, confidence=np.abs, reflect=np.negative)
 
-class TestValidateDecisionSpec:
-    GRID = [-2.0, -1.0, 0.0, 1.0, 2.0]
-
-    def test_abs_spec_is_clean(self):
-        assert validate_decision_spec(make_abs_spec(0.0), self.GRID).ok
-
-    def test_monotone_confidence_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: s, reflect=lambda s: -s)
-        rep = validate_decision_spec(spec, self.GRID)
-        assert "bi-monotonic" in rep.checks_failed()
-
-    def test_identity_reflection_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: abs(s), reflect=lambda s: s)
-        rep = validate_decision_spec(spec, [-1.0, 0.0, 1.0])
-        assert "sign-flip" in rep.checks_failed()
-        assert any(v.check == "sign-flip" and v.s == 1.0 for v in rep.violations)
-
-    def test_nonzero_minimum_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: abs(s) + 1.0, reflect=lambda s: -s)
-        rep = validate_decision_spec(spec, self.GRID)
-        assert "minimum-at-threshold" in rep.checks_failed()
-
-    # The four checks below are pinned to their exact violations: check, score,
-    # detail text and order (grid order, then the order the checks run in).
-
-    def test_non_finite_reflection_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 2.0, np.inf, -s))
-        assert validate_decision_spec(spec, self.GRID).violations == (
-            SpecViolation("involution", -2.0, "reflect(reflect(s))=np.float64(inf) != s=np.float64(-2.0)"),
-            SpecViolation("reflect-finite", 2.0, "reflect = np.float64(inf)"),
-        )
-
-    def test_moved_threshold_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 0.0, 0.5, -s))
-        assert validate_decision_spec(spec, self.GRID).violations == (
-            SpecViolation("fixed-point", 0.0, "reflect(s_star) = np.float64(0.5), expected s_star"),
-        )
-
-    def test_asymmetric_confidence_is_flagged(self):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: np.where(s > 0, 2 * s, -s), reflect=np.negative)
-        detail = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
-        assert validate_decision_spec(spec, self.GRID).violations == (
-            SpecViolation("confidence-symmetry", -2.0, detail.format(4.0, 2.0)),
-            SpecViolation("confidence-symmetry", -1.0, detail.format(2.0, 1.0)),
-            SpecViolation("confidence-symmetry", 1.0, detail.format(1.0, 2.0)),
-            SpecViolation("confidence-symmetry", 2.0, detail.format(2.0, 4.0)),
-        )
-
-    def test_non_involution_is_flagged(self):
-        # keeps floor(|s|), so only the involution breaks
-        spec = DecisionSpec(
-            s_star=0.0,
-            confidence=lambda s: np.floor(np.abs(s)),
-            reflect=lambda s: -s - 0.5 * np.sign(s),
-        )
-        detail = "reflect(reflect(s))=np.float64({}) != s=np.float64({})"
-        assert validate_decision_spec(spec, self.GRID).violations == (
-            SpecViolation("involution", -2.0, detail.format(-3.0, -2.0)),
-            SpecViolation("involution", -1.0, detail.format(-2.0, -1.0)),
-            SpecViolation("involution", 1.0, detail.format(2.0, 1.0)),
-            SpecViolation("involution", 2.0, detail.format(3.0, 2.0)),
-        )
-
-    def test_checks_at_one_score_keep_their_order(self):
-        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: -2.0 * s)
-        symmetry = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
-        involution = "reflect(reflect(s))=np.float64({}) != s=np.float64({})"
-        assert validate_decision_spec(spec, [-1.0, 0.0, 0.5]).violations == (
-            SpecViolation("confidence-symmetry", -1.0, symmetry.format(2.0, 1.0)),
-            SpecViolation("involution", -1.0, involution.format(-4.0, -1.0)),
-            SpecViolation("confidence-symmetry", 0.5, symmetry.format(1.0, 0.5)),
-            SpecViolation("involution", 0.5, involution.format(2.0, 0.5)),
-        )
-
-    def test_nonzero_minimum_is_pinned(self):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: np.abs(s) + 1.0, reflect=np.negative)
-        assert validate_decision_spec(spec, self.GRID).violations == (
-            SpecViolation("minimum-at-threshold", 0.0, "confidence(s_star) = np.float64(1.0), expected 0"),
-        )
-
-    def test_non_positive_confidence_away_is_pinned(self):
-        # NaN at a duplicated point below the threshold, and 0 at the first
-        # point past it; the zero is mirrored, so it breaks no symmetry
-        spec = DecisionSpec(
-            s_star=0.5,
-            confidence=lambda s: np.where(s == -1.0, np.nan, np.where(np.abs(s - 0.5) == 0.25, 0.0, np.abs(s - 0.5))),
-            reflect=lambda s: 1.0 - s,
-        )
-        away = "confidence = np.float64({}), expected > 0 away from s_star"
-        below = "confidence must strictly decrease below s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
-        symmetry = "confidence(reflect(s))=np.float64({}) != confidence(s)=np.float64({})"
-        assert validate_decision_spec(spec, [-1.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0]).violations == (
-            SpecViolation("minimum-at-threshold", -1.0, away.format("nan")),
-            SpecViolation("minimum-at-threshold", -1.0, away.format("nan")),
-            SpecViolation("minimum-at-threshold", 0.75, away.format(0.0)),
-            SpecViolation("bi-monotonic", -1.0, below.format(-1.0, "nan", -1.0, "nan")),
-            SpecViolation("bi-monotonic", 0.0, below.format(-1.0, "nan", 0.0, 0.5)),
-            SpecViolation("confidence-symmetry", -1.0, symmetry.format(1.5, "nan")),
-            SpecViolation("confidence-symmetry", -1.0, symmetry.format(1.5, "nan")),
-            SpecViolation("confidence-symmetry", 2.0, symmetry.format("nan", 1.5)),
-        )
-
-    def test_bi_monotonic_is_pinned(self):
-        # symmetric but dipping at |s| = 2, and flat across a duplicate; the
-        # pair that straddles s_star is not compared
-        spec = DecisionSpec(
-            s_star=0.0, confidence=lambda s: np.where(np.abs(s) == 2.0, 0.5, np.abs(s)), reflect=np.negative
-        )
-        below = "confidence must strictly decrease below s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
-        above = "confidence must strictly increase above s_star: f(np.float64({}))=np.float64({}), f(np.float64({}))=np.float64({})"
-        assert validate_decision_spec(spec, [-2.0, -1.0, -1.0, 0.0, 1.0, 2.0, 3.0]).violations == (
-            SpecViolation("bi-monotonic", -1.0, below.format(-2.0, 0.5, -1.0, 1.0)),
-            SpecViolation("bi-monotonic", -1.0, below.format(-1.0, 1.0, -1.0, 1.0)),
-            SpecViolation("bi-monotonic", 2.0, above.format(1.0, 1.0, 2.0, 0.5)),
-        )
-
-    def test_sign_flip_is_pinned(self):
-        # identity away from 2.0, which lands on s_star itself
-        spec = DecisionSpec(s_star=0.0, confidence=np.abs, reflect=lambda s: np.where(s == 2.0, 0.0, s))
-        flip = "reflect(s)=np.float64({}) is not on the opposite side of s_star"
-        assert validate_decision_spec(spec, [-1.0, 0.0, 1.0, 2.0]).violations == (
-            SpecViolation("sign-flip", -1.0, flip.format(-1.0)),
-            SpecViolation("sign-flip", 1.0, flip.format(1.0)),
-            SpecViolation("confidence-symmetry", 2.0, "confidence(reflect(s))=np.float64(0.0) != confidence(s)=np.float64(2.0)"),
-            SpecViolation("involution", 2.0, "reflect(reflect(s))=np.float64(0.0) != s=np.float64(2.0)"),
-            SpecViolation("sign-flip", 2.0, flip.format(0.0)),
-        )
-
-    def test_one_ulp_off_the_mirror_is_flagged(self):
-        # at 0.5 the mirror of 0.04 rounds to 0.96, whose confidence is one ulp
-        # below 0.46, and mirroring back misses 0.04 by 3.6e-17
-        assert validate_decision_spec(make_abs_spec(0.5), [0.04, 0.5, 0.96]).violations == (
-            SpecViolation(
-                "confidence-symmetry", 0.04,
-                "confidence(reflect(s))=np.float64(0.45999999999999996) != confidence(s)=np.float64(0.46)",
-            ),
-            SpecViolation("involution", 0.04, "reflect(reflect(s))=np.float64(0.040000000000000036) != s=np.float64(0.04)"),
-        )
-
-    def test_overflow_is_reported_not_warned(self):
-        # the grid's one step, 2e308, and the reflection of -1e308 overflow
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = validate_decision_spec(make_abs_spec(1e308), [-1e308, 1e308])
-        assert rep.violations == (SpecViolation("reflect-finite", -1e308, "reflect = np.float64(inf)"),)
-
-    def test_grid_preconditions(self):
-        spec = make_abs_spec(0.0)
-        with pytest.raises(ValueError):
-            validate_decision_spec(spec, [1.0, -1.0, 0.0])
-        with pytest.raises(ValueError):
-            validate_decision_spec(spec, [-1.0, 1.0])
-
-
-def loop_validate_decision_spec(spec, grid):
-    """Reference validator: the per-grid-point loops that the masks replaced.
-
-    Kept verbatim, preconditions included, so that the whole-grid version can
-    be compared with it violation for violation, detail text included; only
-    its symmetry and involution tests now compare exactly, as the validator does.
-    """
-    grid_arr = np.array(grid, dtype=float)
-    if len(grid_arr) == 0:
-        raise ValueError("grid must be nonempty")
-    if not np.all(np.isfinite(grid_arr)):
-        raise ValueError("grid must be finite")
-    if np.any(np.diff(grid_arr) < 0):
-        raise ValueError("grid must be sorted ascending")
-    if not np.any(grid_arr == spec.s_star):
-        raise ValueError("grid must contain s_star")
-
-    conf = spec.confidence_at(grid_arr)
-    refl = spec.reflect_at(grid_arr)
-    violations = []
-
-    for s, c in zip(grid_arr, conf):
-        if s == spec.s_star:
-            if c != 0.0:
-                violations.append(
-                    SpecViolation("minimum-at-threshold", float(s), f"confidence(s_star) = {c!r}, expected 0")
-                )
-        elif not c > 0.0:
-            violations.append(
-                SpecViolation("minimum-at-threshold", float(s), f"confidence = {c!r}, expected > 0 away from s_star")
-            )
-
-    below = grid_arr < spec.s_star
-    above = grid_arr > spec.s_star
-    bs, bc = grid_arr[below], conf[below]
-    for i in range(1, len(bs)):
-        if not bc[i] < bc[i - 1]:
-            violations.append(
-                SpecViolation(
-                    "bi-monotonic",
-                    float(bs[i]),
-                    f"confidence must strictly decrease below s_star: f({bs[i - 1]!r})={bc[i - 1]!r}, f({bs[i]!r})={bc[i]!r}",
-                )
-            )
-    as_, ac = grid_arr[above], conf[above]
-    for i in range(1, len(as_)):
-        if not ac[i] > ac[i - 1]:
-            violations.append(
-                SpecViolation(
-                    "bi-monotonic",
-                    float(as_[i]),
-                    f"confidence must strictly increase above s_star: f({as_[i - 1]!r})={ac[i - 1]!r}, f({as_[i]!r})={ac[i]!r}",
-                )
-            )
-
-    conf_of_refl = spec.confidence_at(refl)
-    refl_of_refl = spec.reflect_at(refl)
-    for s, c, r, cr, rr in zip(grid_arr, conf, refl, conf_of_refl, refl_of_refl):
-        if not math.isfinite(r):
-            violations.append(SpecViolation("reflect-finite", float(s), f"reflect = {r!r}"))
-            continue
-        if s == spec.s_star:
-            if r != spec.s_star:
-                violations.append(
-                    SpecViolation("fixed-point", float(s), f"reflect(s_star) = {r!r}, expected s_star")
-                )
-            continue
-        if cr != c:
-            violations.append(
-                SpecViolation("confidence-symmetry", float(s), f"confidence(reflect(s))={cr!r} != confidence(s)={c!r}")
-            )
-        if rr != s:
-            violations.append(
-                SpecViolation("involution", float(s), f"reflect(reflect(s))={rr!r} != s={s!r}")
-            )
-        if math.copysign(1.0, r - spec.s_star) == math.copysign(1.0, s - spec.s_star) or r == spec.s_star:
-            violations.append(
-                SpecViolation("sign-flip", float(s), f"reflect(s)={r!r} is not on the opposite side of s_star")
-            )
-
-    return SpecValidationReport(tuple(violations))
-
-
-def _corpus_confidence(kind, a, pick, eps):
-    if kind == "abs":
-        return lambda s: np.abs(s - a)
-    if kind == "asymmetric":
-        return lambda s: np.where(s > a, 2.0 * (s - a), a - s)
-    if kind == "nearly-symmetric":
-        return lambda s: np.where(s > a, (s - a) * (1.0 + eps), a - s)
-    if kind == "floor":
-        return lambda s: np.floor(np.abs(s - a))
-    if kind == "shifted":
-        return lambda s: np.abs(s - a) + 0.25
-    if kind in ("inf", "nan"):
-        bad = np.inf if kind == "inf" else np.nan
-        return lambda s: np.where(s == pick, bad, np.abs(s - a))
-    raise AssertionError(kind)
-
-
-def _corpus_reflect(kind, a, pick, eps):
-    if kind == "mirror":
-        return lambda s: a - (s - a)
-    if kind == "off-by-eps":
-        return lambda s: (a - (s - a)) * (1.0 + eps)
-    if kind == "non-involutive":
-        return lambda s: a - 2.0 * (s - a)
-    if kind == "moved-fixed-point":
-        return lambda s: np.where(s == a, a + 0.5, a - (s - a))
-    if kind == "identity":
-        return lambda s: s + 0.0
-    if kind == "onto-threshold":
-        return lambda s: np.where(s == pick, a, a - (s - a))
-    if kind in ("inf", "nan"):
-        bad = -np.inf if kind == "inf" else np.nan
-        return lambda s: np.where(s == pick, bad, a - (s - a))
-    raise AssertionError(kind)
-
-
-_CONFIDENCE_KINDS = ("abs", "asymmetric", "nearly-symmetric", "floor", "shifted", "inf", "nan")
-_REFLECT_KINDS = ("mirror", "off-by-eps", "non-involutive", "moved-fixed-point", "identity", "onto-threshold", "inf", "nan")
-
-
-def spec_corpus(seed):
-    """One seeded (spec, grid) case of the validator corpus."""
-    rng = np.random.default_rng(seed)
-    a = float(rng.choice([0.0, 0.5, -3.0]))
-    points = a + np.round(rng.uniform(-1.0, 1.0, int(rng.integers(1, 25))) * rng.choice([1.0, 4.0, 1e3]), 1)
-    if rng.random() < 0.1:
-        points = np.append(points, [-1e308, 1e308])
-    grid = np.sort(np.concatenate((points, [a], rng.choice(points, int(rng.integers(0, 4))))))
-    pick = float(rng.choice(grid))
-    eps = int(rng.integers(-12, 13)) * 1e-13  # both sides of a 1e-12 tolerance
-    conf_kind = _CONFIDENCE_KINDS[int(rng.integers(len(_CONFIDENCE_KINDS)))]
-    refl_kind = _REFLECT_KINDS[int(rng.integers(len(_REFLECT_KINDS)))]
-    spec = DecisionSpec(a, _corpus_confidence(conf_kind, a, pick, eps), _corpus_reflect(refl_kind, a, pick, eps))
-    return spec, grid, (conf_kind, refl_kind)
-
-
-def _outcome(validate, spec, grid):
-    try:
-        return validate(spec, grid).violations
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-class TestValidatorReference:
-    """The whole-grid validator matches the per-point loops it replaced."""
-
-    @staticmethod
-    def reference(spec, grid):
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return _outcome(loop_validate_decision_spec, spec, grid)
-
-    @staticmethod
-    def current(spec, grid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return _outcome(validate_decision_spec, spec, grid)
-
-    def test_matches_loops_on_seeded_corpus(self):
-        seen = set()
-        near = {"clean": 0, "flagged": 0}
-        for seed in range(520):
-            spec, grid, kinds = spec_corpus(seed)
-            expected = self.reference(spec, grid)
-            assert self.current(spec, grid) == expected, (seed, kinds)
-            seen.update(v.check for v in expected)
-            if kinds[1] == "off-by-eps":
-                near["flagged" if any(v.check == "involution" for v in expected) else "clean"] += 1
-        assert seen == {
-            "minimum-at-threshold", "bi-monotonic", "reflect-finite", "fixed-point",
-            "confidence-symmetry", "involution", "sign-flip",
-        }
-        assert near["clean"] > 0 and near["flagged"] > 0, near
-
-    @pytest.mark.parametrize("stretch", [1.0 + 1e-13, 2.0])
-    @pytest.mark.parametrize("grid", [[0.0], [-0.0, 0.0], [-1.0, 0.0, 1.0]])
-    @pytest.mark.parametrize(
-        "rel_tol,abs_tol", [(-1.0, 1e-12), (1e-12, -1.0), (0.0, 0.0), (np.nan, 1e-12), (np.inf, 0.0), (0.5, 0.0)]
-    )
-    def test_matches_loops_on_odd_tolerances(self, grid, rel_tol, abs_tol, stretch):
-        # the validator takes no tolerance, so each odd pair is refused as a
-        # keyword; on the same spec it still matches the loops, and it compares
-        # exactly: a stretch of 1 + 1e-13 is flagged as 2 is
-        spec = DecisionSpec(0.0, np.abs, lambda s: -s * stretch)
-        for name, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-            with pytest.raises(TypeError, match=name):
-                validate_decision_spec(spec, grid, **{name: value})
-        expected = self.reference(spec, grid)
-        assert self.current(spec, grid) == expected
-        nonzero = any(s != 0.0 for s in grid)
-        assert any(v.check == "involution" for v in expected) == nonzero
+    @pytest.mark.parametrize("given", [1, np.float32(0.5), np.int64(-2)], ids=repr)
+    def test_numeric_thresholds_become_float(self, given):
+        for spec in (make_abs_spec(given), DecisionSpec(given, np.abs, np.negative)):
+            assert type(spec.s_star) is float and spec.s_star == float(given)
 
 
 class TestRankByConfidence:

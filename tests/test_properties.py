@@ -6,6 +6,7 @@ ordering of tied samples must reproduce the closed-form values.
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +15,12 @@ from lxcim import (
     Curve,
     Dataset,
     ExchangeMask,
+    InexactExchangeError,
     accuracy,
     accuracy_rate_curve,
     audrc,
     auroc,
+    check_rank_lxc_invariance,
     cumulative_accuracy_curve,
     duplicate_dataset,
     exchange_subset,
@@ -25,7 +28,10 @@ from lxcim import (
     make_abs_spec,
     rank_by_confidence,
     roc_curve,
+    verify_crossing_point,
+    verify_doubling_identity,
 )
+from lxcim import exchange
 
 SPEC0 = make_abs_spec(0.0)
 TIE_POOL = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
@@ -197,3 +203,50 @@ def test_depth_metric_matches_permutation_average(dataset):
     view = rank_by_confidence(dataset, SPEC0)
     values = [_ordered_audrc(view, order) for order in _tie_orderings(view)]
     assert abs(audrc(dataset, SPEC0) - float(np.mean(values))) <= 1e-12
+
+
+@st.composite
+def decimal_probabilities(draw):
+    """Probabilities of 1 to 3 decimals, some exactly at a threshold of 0.5 or 0.3, and that spec."""
+    s_star = draw(st.sampled_from([0.5, 0.3]))
+    scale = 10 ** draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    ks = draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))
+    ks += [round(s_star * scale)] * draw(st.integers(0, 2))  # rows at the threshold
+    n = len(ks)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), min_size=n, max_size=n))
+    return Dataset([k / scale for k in ks], labels, weights), make_abs_spec(s_star)
+
+
+def _exact(dataset, spec):
+    try:
+        exchange._require_exact(dataset, spec, *exchange._mirror(dataset, spec)[:2])
+    except InexactExchangeError:
+        return False
+    return True
+
+
+@given(decimal_probabilities())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_no_false_verdict_off_a_zero_threshold(data):
+    # the mirror s* - (s - s*) rounds on such scores; a verdict is given only where it holds
+    dataset, spec = data
+    exact = _exact(dataset, spec)
+    for metric in (lxcim, audrc, accuracy):
+        try:
+            rep = check_rank_lxc_invariance(partial(metric, spec=spec), dataset, spec, trials=8, seed=1)
+        except InexactExchangeError:
+            assert not exact
+            continue
+        assert rep.passed
+        if exact:
+            assert rep.max_deviation == 0.0
+    off = dataset.scores != spec.s_star  # a row at the threshold unbalances the duplicate
+    if off.any():
+        dataset = Dataset(dataset.scores[off], dataset.labels[off], dataset.weights[off])
+        for verifier in (verify_doubling_identity, verify_crossing_point):
+            try:
+                assert verifier(dataset, spec).passed
+            except InexactExchangeError:
+                assert not _exact(dataset, spec)

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from lxcim import (
     Dataset,
     DecisionSpec,
     EmptyDatasetError,
+    InexactExchangeError,
     LxcimError,
     NonFiniteMapError,
     GeneratorConfig,
@@ -19,6 +22,7 @@ from lxcim import (
     audrc,
     auroc,
     brute_auroc,
+    check_rank_lxc_invariance,
     convergence_study,
     cumulative_accuracy_curve,
     duplicate_dataset,
@@ -31,12 +35,13 @@ from lxcim import (
 )
 
 from lxcim.cli import main
+from lxcim.exchange import _full_exchange, _require_exact
 from lxcim.io import write_prediction_file
 import lxcim.metrics as metrics
 from lxcim.metrics import _accuracy_rate_curve, _cumulative_accuracy_curve
 from lxcim.model import make_abs_spec, rank_by_confidence
 import lxcim.verify as verify
-from lxcim.verify import StudyResult, StudySizeResult, _area_left_of, _draw, _study_deviations, _study_seed
+from lxcim.verify import CrossingReport, StudyResult, StudySizeResult, _area_left_of, _draw, _study_deviations, _study_seed
 
 from conftest import random_dataset, underflowing_datasets, unique_score_sweep
 import exact
@@ -163,6 +168,110 @@ class TestCrossingPoint:
         rep = verify_crossing_point(d, spec0)
         assert rep.passed
         assert rep == verify_crossing_point(Dataset(d.scores, d.labels, np.ldexp(d.weights, 540)), spec0)
+
+
+ROW_1_CONFIDENCE = (
+    "^row 1: the exchange of score 0.04 gives 0.96, which changes its confidence from 0.46 to "
+    "0.45999999999999996: the exchange is not exact at s_star = 0.5$"
+)
+
+
+class TestInexactExchange:
+    """A verifier whose report would fail on data whose exchange is not exact raises instead."""
+
+    def test_two_rows_at_one_half(self):
+        # the duplicate merges 0.04's mirror into 0.96's tie group: a false deviation of 0.125
+        spec = make_abs_spec(0.5)
+        d = Dataset([0.04, 0.96], [1, 1])
+        with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
+            verify_doubling_identity(d, spec)
+        # the crossing still lands where it should: a passing report is given as it is
+        assert verify_crossing_point(d, spec) == CrossingReport((0.5, 0.5), (0.5, 0.5), 0.0, 1e-9)
+
+    def test_both_verifiers_name_the_row(self):
+        d = Dataset([0.04, 0.5, 0.96], [1, 1, 1])
+        for verifier in (verify_doubling_identity, verify_crossing_point):
+            with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
+                verifier(d, make_abs_spec(0.5))
+
+    def test_exact_failure_keeps_its_report(self, spec0):
+        # a row at the threshold keeps its class and unbalances the duplicate (ROADMAP item 11);
+        # the exchange about 0 is exact, so the failing reports stand
+        d = Dataset([0.0, 1.0, -2.0], [1, 1, 0])
+        assert verify_doubling_identity(d, spec0).doubling_deviation == 1.0 - 8.0 / 9.0
+        assert verify_crossing_point(d, spec0).found == (0.0, 1.0)
+
+    # Broken reflections at s_star = 0, each judged by the check and both
+    # verifiers on one dataset.  A verdict that fails names the first row and
+    # the property it breaks; a verdict that passes is given as it is, since
+    # the rule judges only verdicts that do not pass.
+    SIX = Dataset([-2.0, -1.0, 1.0, 2.0, 3.0, -3.0], [1, 0, 1, 0, 1, 0])
+    BROKEN = {
+        "identity": DecisionSpec(0.0, np.abs, lambda s: s + 0.0),
+        "asymmetric": DecisionSpec(0.0, lambda s: np.where(s > 0, 2 * s, -s), np.negative),
+        # keeps floor(|s|) and the side, so no exchange moves a rank
+        "non-involution": DecisionSpec(0.0, lambda s: np.floor(np.abs(s)), lambda s: -s - 0.5 * np.sign(s)),
+        "doubling": DecisionSpec(0.0, np.abs, lambda s: -2.0 * s),
+        "onto-threshold": DecisionSpec(0.0, np.abs, lambda s: np.where(s == 2.0, 0.0, -s)),
+    }
+    VERDICTS = {
+        "check": lambda d, spec: check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=20, seed=0),
+        "doubling": verify_doubling_identity,
+        "crossing": verify_crossing_point,
+    }
+    SIDE = "^row 1: the exchange of score -2.0 gives -2.0, which is not on the other side of the threshold: "
+    CONFIDENCE = "^row 1: the exchange of score -2.0 gives {}, which changes its confidence from 2.0 to 4.0: "
+    BACK = "^row 1: the exchange of score -2.0 gives 2.0, which mirrors back to 0.0: "
+
+    @pytest.mark.parametrize(
+        "broken, verdict, message",
+        [
+            ("identity", "check", SIDE),
+            ("identity", "doubling", SIDE),
+            ("identity", "crossing", SIDE),
+            ("asymmetric", "check", CONFIDENCE.format("2.0")),
+            ("asymmetric", "doubling", CONFIDENCE.format("2.0")),
+            ("asymmetric", "crossing", None),
+            ("non-involution", "check", None),
+            ("non-involution", "doubling", None),
+            ("non-involution", "crossing", None),
+            ("doubling", "check", CONFIDENCE.format("4.0")),
+            ("doubling", "doubling", CONFIDENCE.format("4.0")),
+            ("doubling", "crossing", None),
+            ("onto-threshold", "check", BACK),
+            ("onto-threshold", "doubling", BACK),
+            ("onto-threshold", "crossing", None),
+        ],
+    )
+    def test_broken_reflection_at_each_verdict(self, broken, verdict, message):
+        spec, judge = self.BROKEN[broken], self.VERDICTS[verdict]
+        with pytest.raises(InexactExchangeError) as raised:
+            _require_exact(self.SIX, spec, *_full_exchange(self.SIX, spec))
+        if message is None:
+            assert judge(self.SIX, spec).passed
+        else:
+            assert re.match(message, str(raised.value))
+            with pytest.raises(InexactExchangeError, match=message):
+                judge(self.SIX, spec)
+
+    DYADIC = Dataset([0.25, 0.75, 0.125, 0.875, 0.625, 0.375], [1, 0, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "spec, d",
+        [
+            (make_abs_spec(0.0), SIX),
+            (DecisionSpec(0.0, np.square, np.negative), SIX),
+            (make_abs_spec(0.5), DYADIC),
+            (DecisionSpec(0.5, lambda s: np.abs(s - 0.5), lambda s: 1.0 - s), DYADIC),
+            (make_abs_spec(-3.0), Dataset([-5.0, -1.0, 0.0, -4.0, -7.0, 2.0], [1, 0, 1, 0, 1, 0])),
+        ],
+        ids=["abs-at-0", "square-at-0", "abs-at-half", "one-minus-at-half", "abs-at-minus-3"],
+    )
+    def test_exact_reflection_passes_every_verdict(self, spec, d):
+        assert _require_exact(d, spec, *_full_exchange(d, spec)) is None
+        assert self.VERDICTS["check"](d, spec).max_deviation == 0.0
+        assert self.VERDICTS["doubling"](d, spec).doubling_deviation == 0.0
+        assert self.VERDICTS["crossing"](d, spec).passed
 
 
 class TestGenerate:
