@@ -159,9 +159,8 @@ def _write_chart(path: Path, curve) -> None:
 def _write_decision_rate_artifacts(directory: Path, cumulative, rate, suffix: str = "") -> None:
     """The CSV and the chart of both decision-rate curves of one ranking."""
     cumulative_name, rate_name = (curve.kind.value + suffix for curve in (cumulative, rate))
-    file_io._write_decision_rate_csvs(
-        directory / f"{cumulative_name}.csv", cumulative, directory / f"{rate_name}.csv", rate
-    )
+    file_io.write_curve_csv(directory / f"{cumulative_name}.csv", cumulative)
+    file_io.write_curve_csv(directory / f"{rate_name}.csv", rate)
     _write_chart(directory / f"{cumulative_name}.svg", cumulative)
     _write_chart(directory / f"{rate_name}.svg", rate)
 

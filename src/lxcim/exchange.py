@@ -151,8 +151,7 @@ def _require_exact(dataset: Dataset, spec: DecisionSpec, mirror: np.ndarray, fix
     and the verifiers apply this rule before a verdict that does not pass.
     """
     scores, a = dataset.scores, spec.s_star
-    with np.errstate(over="ignore", invalid="ignore"):
-        conf, conf_mirror, back = spec.confidence_at(scores), spec.confidence_at(mirror), spec.reflect_at(mirror)
+    conf, conf_mirror, back = spec.confidence_at(scores), spec.confidence_at(mirror), spec.reflect_at(mirror)
     changed, stays = conf_mirror != conf, np.where(scores > a, mirror >= a, mirror <= a)
     bad = ~fixed & np.isfinite(mirror) & (changed | stays | (back != scores))
     if bad.any():

@@ -15,11 +15,15 @@ reject is checked again in memory, one row at a time with the per-cell rules,
 to name its first bad row.  Nothing seeks or reads a file twice, so a pipe is
 read as it comes, never copied whole.
 
-Floats are written with shortest round-trip precision (``repr``), so write ->
-ingest reproduces scores and weights bit-exactly.  Each distinct magnitude of
-a column is formatted once, the sign prefixed, and rows are written a block
-at a time.  A column that two files share in part, as the two decision-rate
-curves share their x, is formatted once for both.
+Floats are written with shortest round-trip precision, the text of ``repr``,
+so write -> ingest reproduces scores and weights bit-exactly.  Rows are
+written a block at a time.  Each float column of a block is formatted by
+numpy, with an exact scaled product (Dekker's TwoProduct) deciding the
+digits, and each value that product cannot decide is sent to ``repr`` (see
+:func:`_float_cells`): on continuous scores, weights and curves, about one
+value in 1e4.  Each part of a row is a fixed-width byte cell padded with
+0xFF, a byte no UTF-8 text holds, so a block's rows are laid side by side and
+one pass drops the padding.
 """
 
 from __future__ import annotations
@@ -399,42 +403,130 @@ def ingest(
     return dataset, spec
 
 
-_MAGNITUDE = np.uint64(2**63 - 1)  # every bit of a float64 but the sign
+# Writing.  Each float is written as its ``repr`` (see the module docstring).
+_WRITE_ROWS = 4096  # rows formatted and assembled per step: about 2 MB of arrays at once
+_PAD = 0xFF  # never a byte of UTF-8 text: a row's padding, dropped in one pass
+_PAD_BYTES = bytes([_PAD])
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # each exact: 10**k is a float for k <= 22
+_SPLITTER = 2.0**27 + 1
 
 
-class _FloatTexts:
-    """The ``repr`` of each float of a column, as UTF-8 bytes, a block at a time.
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as ``hi + lo``, exactly, with 26 significant bits each (Veltkamp's split)."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
 
-    Each distinct magnitude is formatted once and kept as 23 bytes, the
-    longest repr of a float64 magnitude (17 digits, a point and ``e-308``);
-    a block's negative values get a ``-`` prefixed.  ``repr(-x)`` is
-    ``"-" + repr(x)`` for every float but NaN, whose repr has no sign.
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _scaled(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v * 10**k`` as ``p + e``, exactly: the rounded product and its error (Dekker's TwoProduct)."""
+    p = v * _POW10[k]
+    hi, lo = _halves(v)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * b_hi - p) + hi * b_lo + lo * b_hi) + lo * b_lo
+
+
+# A float's cell holds "-0.000" and then its 17 digits, each followed by a
+# point: 40 bytes.  Its text is the cell with some bytes set to _PAD: the sign
+# of a value that has none, "0." and the zeros a value below 1 does not show,
+# the trailing zero digits, and every point but the one after the units digit.
+_CELL = 40
+_DIGIT_WORDS = np.full((10_000, 8), ord("."), dtype=np.uint8)  # 0..9999 as 4 digits, each then a point
+_DIGIT_WORDS[:, ::2] = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10 + 48
+_DIGIT_WORDS = _DIGIT_WORDS.view(np.uint64).ravel()
+_HEADS = np.frombuffer(b"\xff0.000\x00.-0.000\x00.", dtype=np.uint64)  # without and with the sign
+
+
+def _cell_pads() -> np.ndarray:
+    """The bytes to pad in a fast-path cell, as 5 words, at row ``18 * (E + 4) + s``
+    for the decimal exponent ``E`` in -4..15 and ``s`` significant digits."""
+    exponent, digits = np.arange(-4, 16)[:, None, None], np.arange(18)[None, :, None]
+    column = np.arange(_CELL)
+    index, point = (column - 6) // 2, (column >= 6) & (column % 2 == 1)
+    keep = (
+        (column == 0)  # the sign byte, set with the head
+        | (exponent < 0) & (column >= 1) & (column < 2 - exponent)  # "0." and -E-1 zeros: 0.0012
+        | (column >= 6) & ~point & (index < np.where(exponent < 0, digits, np.maximum(digits, exponent + 2)))
+        | point & (index == exponent)  # the point after the units digit, for E >= 0: 120.0
+    )
+    return np.where(keep, 0, _PAD).astype(np.uint8).reshape(20 * 18, _CELL).view(np.uint64)
+
+
+_CELL_PADS = _cell_pads()
+_MARGIN = 1e-9  # far above the rounding error of the distances below, which is under 1e-13
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float of ``values``: an (n, 40) uint8 array padded with ``_PAD``.
+
+    ``repr`` writes the shortest decimal that reads back as the float, and of
+    those the nearest; from 1e-4 to below 1e16 it writes fixed notation.
+    For a magnitude v there, let E = floor(log10 v) and N = v * 10**(16 - E),
+    a real in [1e16, 1e17).  TwoProduct gives N = p + e exactly, so the
+    17-digit integer N17 = p + rint(e) and the rest f = e - rint(e) are exact.
+    So is H, half the gap from v to the next float, scaled by the same power
+    of ten: the decimals within H of N read back as v.  H exceeds 0.55, and at
+    most one 15-digit decimal (a multiple of 100 here) lies that close.  So the
+    digits are those of the nearest multiple of 100 if it lies within H, else
+    of the nearest multiple of 10 if it does, else N17.  The gap below a power
+    of two is half as wide; but each power of two in this range, 2**-13 to
+    2**53, is a decimal of at most 16 digits, and for each of them the rule
+    picks those digits (the tests check all 67).  Every value this does not
+    decide is written by ``repr``: zero, magnitudes
+    outside [1e-4, 1e16), a distance within ``_MARGIN`` of H, an exact tie
+    between two nearest decimals, and a nearest decimal that carries into the
+    next power of ten (which cannot read back as v, so is only guarded).
     """
+    magnitudes = np.abs(values)
+    fast = (magnitudes >= 1e-4) & (magnitudes < 1e16)
+    v = np.where(fast, magnitudes, 1.5)
+    exponent = np.floor(np.log10(v)).astype(np.intp)
+    p, e = _scaled(v, 16 - exponent)
+    # log10 can be off by one next to a power of ten: correct E where N is outside [1e16, 1e17)
+    low, high = (p < 1e16) | ((p == 1e16) & (e < 0)), (p > 1e17) | ((p == 1e17) & (e >= 0))
+    off = np.flatnonzero(low | high)
+    if len(off):
+        exponent[off] += high[off].astype(np.intp) - low[off]
+        p[off], e[off] = _scaled(v[off], 16 - exponent[off])
+    units = np.rint(e)
+    rest = e - units
+    n17 = p.astype(np.int64) + units.astype(np.int64)
+    half = np.spacing(v) * 0.5 * _POW10[16 - exponent]
+    below100 = n17 % 100
+    to100 = below100 + rest  # N less the multiple of 100 below N17, in [-0.5, 99.5]
+    up100 = to100 > 50
+    far100 = np.where(up100, 100 - to100, to100)
+    below10 = below100 % 10
+    to10 = below10 + rest
+    up10 = to10 > 5
+    far10 = np.where(up10, 10 - to10, to10)
+    in100, in10 = far100 < half - _MARGIN, far10 < half - _MARGIN
+    out100, out10 = far100 > half + _MARGIN, far10 > half + _MARGIN
+    digits = np.where(in100, n17 - below100 + 100 * up100, np.where(in10, n17 - below10 + 10 * up10, n17))
+    decided = in100 | out100 & (in10 & (to10 != 5) | out10 & (np.abs(rest) != 0.5))
+    slow = np.flatnonzero(~(fast & decided) | (digits >= 10**17))
 
-    def __init__(self, values):
-        values = np.ascontiguousarray(values, dtype=float)
-        bits, self.inverse = np.unique(values.view(np.uint64) & _MAGNITUDE, return_inverse=True)
-        magnitudes = bits.view(float)
-        self.texts = np.empty(len(magnitudes), dtype="S23")
-        for start in range(0, len(magnitudes), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            self.texts[block] = list(map(repr, magnitudes[block].tolist()))
-        self.negative = np.signbit(values) & ~np.isnan(values)
-
-    def __len__(self) -> int:
-        return len(self.inverse)
-
-    def rows_from(self, start: int) -> "_FloatTexts":
-        """The texts of rows ``start:``, sharing the formatted magnitudes."""
-        rows = object.__new__(_FloatTexts)
-        rows.texts, rows.inverse, rows.negative = self.texts, self.inverse[start:], self.negative[start:]
-        return rows
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        texts, negative = self.texts[self.inverse[rows]].astype(object), self.negative[rows]
-        if negative.any():
-            texts[negative] = b"-" + texts[negative]
-        return texts
+    words = np.empty((len(values), _CELL // 8), dtype=np.uint64)
+    lead, high8 = np.divmod(digits, 10**16)
+    high8, low8 = np.divmod(high8, 10**8)
+    signed = np.signbit(values) & ~np.isnan(values)  # repr(-x) is "-" + repr(x), but for NaN
+    words[:, 0] = _HEADS[signed.view(np.uint8)] | (lead.astype(np.uint64) + 48) << np.uint64(48)
+    for column, group in enumerate((*np.divmod(high8, 10**4), *np.divmod(low8, 10**4)), 1):
+        words[:, column] = _DIGIT_WORDS[group]
+    cells = words.view(np.uint8)
+    significant = 17 - (cells[:, -2:5:-2] != ord("0")).argmax(axis=1)
+    words |= _CELL_PADS[18 * (exponent + 4) + significant]
+    if len(slow):
+        # one repr per distinct magnitude: a column of weights 1e-5 or a curve's run of zeros repeats one
+        slow_magnitudes, inverse = np.unique(magnitudes[slow], return_inverse=True)
+        texts = np.array(list(map(repr, slow_magnitudes.tolist())), dtype="S23").view(np.uint8)
+        cells[slow, 1:24] = np.where(texts == 0, _PAD, texts).reshape(-1, 23)[inverse]
+        cells[slow, 24:] = _PAD
+    return cells
 
 
 def _csv_quote(text: str) -> str:
@@ -444,19 +536,27 @@ def _csv_quote(text: str) -> str:
     return buffer.getvalue()[1:-1]
 
 
-def _write_rows(path, header: bytes, parts: tuple) -> None:
-    """Write ``header``, then row i: the concatenation of each part, where a
-    part is constant bytes or a column of bytes (whose item i is taken).
+def _write_rows(path, header: bytes, rows: int, parts: tuple) -> None:
+    """Write ``header``, then ``rows`` rows, each the concatenation of the parts' bytes.
+
+    A part is constant bytes, or a function from a slice of rows to their
+    cells: a uint8 array, a row of bytes per row, padded with ``_PAD``.  A
+    block's rows are laid side by side in one byte array, and one pass drops
+    the padding.
     """
-    rows = min(len(part) for part in parts if not isinstance(part, bytes))
+    parts = [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part for part in parts]
     with open(path, "wb") as handle:
         handle.write(header)
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            pieces = np.empty((stop - start, len(parts)), dtype=object)
-            for index, part in enumerate(parts):
-                pieces[:, index] = part if isinstance(part, bytes) else part[start:stop]
-            handle.write(b"".join(pieces.ravel().tolist()))
+        for start in range(0, rows, _WRITE_ROWS):
+            block = slice(start, min(start + _WRITE_ROWS, rows))
+            size = block.stop - start
+            cells = [part(block) if callable(part) else np.broadcast_to(part, (size, len(part)))
+                     for part in parts]
+            handle.write(np.hstack(cells).tobytes().translate(None, _PAD_BYTES))
+
+
+def _float_part(values: np.ndarray):
+    return lambda block: _float_cells(values[block])
 
 
 def write_prediction_file(
@@ -471,32 +571,25 @@ def write_prediction_file(
     if positive_label == negative_label:
         raise ValueError("positive and negative label names must differ")
     names = (negative_label, positive_label)
-    scores, weights = _FloatTexts(dataset.scores), _FloatTexts(dataset.weights)
     if format == "csv":
         labels = [f",{_csv_quote(name)},".encode() for name in names]
         header, head, tail = b"score,label,weight\r\n", (), b"\r\n"
     else:
         labels = [f', "label": {json.dumps(name)}, "weight": '.encode() for name in names]
         header, head, tail = b"", (b'{"score": ',), b"}\n"
-    labels = np.array(labels, dtype=object)[dataset.labels]
-    _write_rows(path, header, (*head, scores, labels, weights, tail))
+    width = max(map(len, labels))
+    labels = np.frombuffer(b"".join(text.ljust(width, _PAD_BYTES) for text in labels), dtype=np.uint8)
+    labels = labels.reshape(2, width)
+    parts = (
+        *head,
+        _float_part(dataset.scores),
+        lambda block: labels[dataset.labels[block]],
+        _float_part(dataset.weights),
+        tail,
+    )
+    _write_rows(path, header, len(dataset), parts)
 
 
 def write_curve_csv(path, curve: Curve) -> None:
     """Write a curve's exact breakpoints as x,y rows (no resampling)."""
-    _write_curve_rows(path, _FloatTexts(curve.x), curve.y)
-
-
-def _write_decision_rate_csvs(cumulative_path, cumulative: Curve, rate_path, rate: Curve) -> None:
-    """``write_curve_csv`` of both decision-rate curves of one ranking, their x formatted once.
-
-    The accuracy-rate curve's x is the cumulative curve's x after its first
-    point, bit for bit: ``cw[1:] / total`` against ``cw / total``.
-    """
-    x = _FloatTexts(cumulative.x)
-    _write_curve_rows(cumulative_path, x, cumulative.y)
-    _write_curve_rows(rate_path, x.rows_from(1), rate.y)
-
-
-def _write_curve_rows(path, x: _FloatTexts, y) -> None:
-    _write_rows(path, b"x,y\r\n", (x, b",", _FloatTexts(y), b"\r\n"))
+    _write_rows(path, b"x,y\r\n", len(curve), (_float_part(curve.x), b",", _float_part(curve.y), b"\r\n"))

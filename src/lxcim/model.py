@@ -11,6 +11,7 @@ substrate for every decision-rate metric in :mod:`lxcim.metrics`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,12 +161,16 @@ class Dataset:
 
 
 def _threshold(value) -> float:
-    """``value`` as a finite float; ValueError for a boolean, which ``float`` reads as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(float(value)):
+    """``value`` as a finite float; ValueError for a boolean, which ``float`` reads as 0 or 1,
+    and for text, which it parses."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"s_star must be a finite number, not a boolean, got {value!r}")
     return float(value)
 
 
+# a map that overflows gives a non-finite value, which the caller reports as a
+# typed error, not as a numpy warning first (as a decorator: half the cost of a with)
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_map(fn: Callable, values: np.ndarray) -> np.ndarray:
     """Apply a vectorized map over a float array."""
     out = np.asarray(fn(values), dtype=float)

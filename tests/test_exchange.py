@@ -688,6 +688,18 @@ class TestExchangeResults:
                 call()
             assert isinstance(err.value, LxcimError) and isinstance(err.value, ValueError)
 
+    def test_overflowing_spec_map_raises_its_typed_error_without_a_warning(self):
+        # the mirror of -1e308 about 1e308, and its confidence, overflow; warnings are errors here
+        d, spec = Dataset([-1e308, 1.0], [1, 0]), make_abs_spec(1e308)
+        for call in (
+            lambda: duplicate_dataset(d, spec),
+            lambda: exchange_subset(d, [0], spec),
+            lambda: rank_by_confidence(d, spec),
+            lambda: report(d, spec),
+        ):
+            with pytest.raises(NonFiniteMapError):
+                call()
+
     def test_confidence_failing_on_exchanged_scores_is_raised_not_a_witness(self):
         # finite on the original scores, NaN on their reflections
         spec = DecisionSpec(

@@ -2,8 +2,10 @@ import codecs
 import csv
 import io
 import json
+import math
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 from unittest import mock
@@ -22,6 +24,7 @@ from lxcim import (
     ParseError,
     PredictionFileError,
     UnknownLabelError,
+    accuracy_rate_curve,
     cumulative_accuracy_curve,
     duplicate_dataset,
     ingest,
@@ -30,6 +33,7 @@ from lxcim import (
     write_curve_csv,
     write_prediction_file,
 )
+from lxcim.verify import GeneratorConfig, GeneratorKind, WeightMode, generate
 from lxcim.io import (
     PredictionColumns,
     _NotUtf8,
@@ -248,6 +252,15 @@ class TestRoundTrip:
         path = tmp_path / "named.csv"
         write_prediction_file(path, d, positive_label="cause", negative_label="effect")
         back, _ = ingest(path, positive_label="cause")
+        assert back == d
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("names", [("a\x00", "b"), ("a", "b\x00")], ids=repr)
+    def test_labels_with_a_nul_survive(self, tmp_path, fmt, names):
+        d = random_dataset(np.random.default_rng(5), 50)
+        path = tmp_path / f"nul.{fmt}"
+        write_prediction_file(path, d, fmt, *names)
+        back, _ = ingest(path, fmt, positive_label=names[0])
         assert back == d
 
     def test_identical_label_names_rejected(self, tmp_path):
@@ -669,6 +682,8 @@ AWKWARD_LABELS = [
     ("naïve", "Ω→∞ ünïcödé"),
     (" spaced ", "  lead"),
     ("1", "0"),
+    ("a\x00", "b"),
+    ("a", "b\x00"),
 ]
 
 
@@ -706,8 +721,7 @@ class TestWrittenBytes:
             reference_prediction_file(tmp_path / f"theirs.{fmt}", d, fmt)
             assert (tmp_path / f"ours.{fmt}").read_bytes() == (tmp_path / f"theirs.{fmt}").read_bytes()
 
-    # more than 2**12 rows, so that the files span several write blocks and no
-    # size cut-off could keep them from the one-text-per-magnitude path
+    # more than 2**12 rows, so that the files span several write blocks
     LARGE = 5000
     EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 2.2250738585072014e-308, -1.3626318486375751e-292]
 
@@ -741,6 +755,84 @@ class TestWrittenBytes:
         write_curve_csv(tmp_path / "ours.csv", curve)
         reference_curve_csv(tmp_path / "theirs.csv", curve)
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
+
+
+def written_texts(values) -> list[str]:
+    """The text that ``write_curve_csv`` writes for each of ``values``, in order."""
+    values = np.asarray(values, dtype=float)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "texts.csv")
+        write_curve_csv(path, Curve(CurveKind.ACC_RATE, np.zeros(len(values)), values))
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    assert rows[0] == ["x", "y"] and all(x == "0.0" for x, _ in rows[1:])
+    return [y for _, y in rows[1:]]
+
+
+def _neighbours(edge: float):
+    """The floats up to 4 steps away from ``edge``, either way."""
+    return st.integers(-4, 4).map(lambda steps: float((np.array(edge).view(np.int64) + steps).view(float)))
+
+
+WRITTEN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # any finite float, subnormals and zeros too
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)),  # powers of two
+    st.sampled_from([1e-4, -1e-4, 1e16, -1e16]).flatmap(_neighbours),  # where repr changes notation
+    st.builds(lambda k, d: k / 10**d, st.integers(-(10**17), 10**17), st.integers(0, 22)),  # decimals k/10^d
+)
+
+
+def _float_corpus(seed: int, n: int) -> dict:
+    """Columns of ``n`` floats of the shapes a writer meets, and some it rarely does."""
+    rng = np.random.default_rng(seed)
+    shapes = {
+        "uniform": rng.random(n) - 0.5,
+        "cumulative ratios": np.cumsum(rng.random(n)) / n,
+        "k/n": np.arange(1, n + 1) / rng.integers(n, 2 * n),
+        "short decimals": np.round(rng.random(n) * 1000, 3) / 10.0 ** rng.integers(0, 8, n),
+        "integers": np.floor(rng.random(n) * 10.0 ** rng.integers(1, 17, n)),
+        "bit patterns": rng.integers(0, 2**64, n, dtype=np.uint64).view(float),
+        "powers of two": np.ldexp(np.repeat([1.0, -1.0], 2098), np.tile(np.arange(-1074, 1024), 2)),
+        "large with a fraction": rng.random(n) * 10.0 ** rng.integers(13, 17, n),  # ties at 17 digits
+        "decade neighbours": np.nextafter(10.0 ** rng.integers(-5, 18, n), rng.choice([0, np.inf], n)),
+        "nines next to a carry": np.array(
+            [float(f"9.99999999999999{d}5e{e}") for d in range(10) for e in range(-5, 17)]
+        ),
+    }
+    shapes["bit patterns"] = shapes["bit patterns"][np.isfinite(shapes["bit patterns"])]
+    return shapes
+
+
+class TestFloatText:
+    """Each written float is its ``repr``, and few values need ``repr`` itself to get there."""
+
+    @given(st.lists(WRITTEN_FLOATS, min_size=1, max_size=64))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_written_text_is_repr(self, values):
+        assert written_texts(values) == list(map(repr, values))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus_written_as_repr(self, seed):
+        corpus = _float_corpus(seed, 13_000)
+        values = np.concatenate(list(corpus.values()))
+        assert len(values) >= 10**5
+        texts = written_texts(values)
+        wrong = [(text, repr(value)) for text, value in zip(texts, values.tolist()) if text != repr(value)]
+        assert wrong == []
+
+    def test_fast_path_is_taken(self, tmp_path, monkeypatch):
+        config = GeneratorConfig(GeneratorKind.BIASED, 30_000, 3, 0.7, WeightMode.RANDOM_POSITIVE)
+        data, spec = generate(config), make_abs_spec(0.0)
+        curves = [cumulative_accuracy_curve(data, spec), accuracy_rate_curve(data, spec), roc_curve(data)]
+        calls = []
+        monkeypatch.setattr(lxcim.io, "repr", lambda value: calls.append(value) or repr(value), raising=False)
+        write_prediction_file(tmp_path / "data.csv", data)
+        for curve in curves:
+            write_curve_csv(tmp_path / "curve.csv", curve)
+        values = 2 * len(data) + sum(2 * len(curve) for curve in curves)
+        assert 0 < len(calls) <= values / 1000
 
 
 def test_peak_memory_is_a_few_columns(tmp_path):

@@ -172,6 +172,14 @@ class TestAbsSpec:
         with pytest.raises(ValueError, match="not a boolean"):
             DecisionSpec(s_star=flag, confidence=np.abs, reflect=np.negative)
 
+    @pytest.mark.parametrize("text", ["0.5", "1e0", b"1", np.str_("0")], ids=repr)
+    def test_rejects_text_threshold(self, text):
+        # float() parses text, which is not a number
+        with pytest.raises(ValueError, match="must be a finite number"):
+            make_abs_spec(text)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            DecisionSpec(text, np.abs, np.negative)
+
     @pytest.mark.parametrize("given", [1, np.float32(0.5), np.int64(-2)], ids=repr)
     def test_numeric_thresholds_become_float(self, given):
         for spec in (make_abs_spec(given), DecisionSpec(given, np.abs, np.negative)):
@@ -207,11 +215,10 @@ class TestRankByConfidence:
             rank_by_confidence(d0, spec)
 
     def test_overflowing_confidence_is_typed(self):
-        # |1e308 - (-1e308)| overflows: a data error, not a usage error
+        # |1e308 - (-1e308)| overflows: a data error, not a usage error, and no numpy warning
         spec = make_abs_spec(-1e308)
-        with np.errstate(over="ignore"):
-            with pytest.raises(NonFiniteMapError, match="non-finite"):
-                rank_by_confidence(Dataset([1e308, -2.0], [1, 0]), spec)
+        with pytest.raises(NonFiniteMapError, match="non-finite"):
+            rank_by_confidence(Dataset([1e308, -2.0], [1, 0]), spec)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 2, 3])

@@ -28,6 +28,11 @@ of each of the three public curves, in this process, the best of 5 calls; and
 the wall time of ``python -m lxcim.cli eval --output json --curves-dir`` on
 that data written as CSV, the best of 5 runs.
 
+The ``float_text_*`` keys time the float formatter of the writers alone,
+``lxcim.io._float_cells`` over the 1e6 continuous scores a write block at a
+time, with the number of its ``repr`` calls; and, for scale, one
+``repr`` per score.  Both are the best of 3 calls.
+
 The ``small_*_us`` keys time the fixed cost of each call instead, on the
 thousand datasets of 8 to 512 rows of the many-small workload at seed 1
 (``workloads._setup_small(1, FULL)``): the ranking, ``report``, each curve
@@ -144,6 +149,7 @@ def measure(root: Path, workdir: Path) -> dict:
         )
         out[f"{shape}_duplicate_ms"] = 1e3 * best_of(3, lambda: lxcim.duplicate_dataset(data, spec))
 
+    out.update(measure_float_text(continuous.scores))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for fmt in ("csv", "jsonl"):
         path = workdir / f"continuous.{fmt}"
@@ -170,6 +176,30 @@ def measure(root: Path, workdir: Path) -> dict:
     out.update(measure_small(spec, metric, workdir))
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     return {k: round(v, 4) if isinstance(v, float) else v for k, v in out.items()}
+
+
+def measure_float_text(column: np.ndarray) -> dict:
+    """Seconds to format a column's floats as the writers do, a block at a time, and how many
+    calls of ``repr`` that takes; and seconds of one ``repr`` per float, for scale.
+
+    The formatter keys are None for a package without ``lxcim.io._float_cells``.
+    """
+    from lxcim import io
+
+    out = {"float_text_values": len(column)}
+    out["float_text_repr_s"] = best_of(3, lambda: list(map(repr, column.tolist())))
+    if not hasattr(io, "_float_cells"):
+        return {**out, "float_text_format_s": None, "float_text_format_repr_calls": None}
+    blocks = [column[start : start + io._WRITE_ROWS] for start in range(0, len(column), io._WRITE_ROWS)]
+    out["float_text_format_s"] = best_of(3, lambda: list(map(io._float_cells, blocks)))
+    calls = []
+    io.repr = lambda value: calls.append(value) or repr(value)
+    try:
+        list(map(io._float_cells, blocks))
+    finally:
+        del io.repr
+    out["float_text_format_repr_calls"] = len(calls)
+    return out
 
 
 def measure_roundtrip(spec, workdir: Path, env: dict) -> dict:
