@@ -4,16 +4,16 @@ Subcommands: ``eval`` (metrics report, optional curve artifacts), ``check``
 (random-mask exchange invariance probe), ``duplicate`` (write the
 class-exchange doubled file), ``synth`` (synthetic prediction files), and
 ``study`` (chance-level convergence table).  The first three take the
-decision threshold as ``--s-star`` (default 0).  An exchange mirrors a score
-to ``s_star - (s - s_star)``, which is exact at 0 and can round elsewhere:
-at 0.5, the threshold of probability scores, it can change a confidence by
-one ulp and merge or split a tie.  ``check`` then exits 3 and names the first
-row whose exchange is not exact, instead of reporting a violation.
+decision threshold as ``--s-star`` (default 0) and centre the scores once,
+as they are read: a score s becomes ``s - s_star``, whose class and
+confidence are those of s against ``s_star`` bit for bit, and whose
+exchange, a negation, is exact.  ``eval`` sweeps the scores as read for
+AUROC and the ROC, and ``duplicate`` writes the rows as read, then each
+exchanged row as ``s_star + m`` for its centred mirror m.
 
 Exit codes: 0 success / invariant holds, 1 invariance violation, 2 usage
-error, 3 I/O, parse, or metric error (including a confidence or reflection
-that overflows at the given threshold, and a violation found on data whose
-exchange is not exact).
+error, 3 I/O, parse, or metric error (including a score whose shift by
+``s_star``, or whose written exchange, overflows).
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as file_io
-from .errors import LxcimError, NonFiniteMapError
+from .errors import LxcimError
 from .exchange import check_rank_lxc_invariance, duplicate_dataset
+from .model import Dataset
 from .metrics import (
     CurveKind,
     _accuracy_rate_curve,
@@ -70,9 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingestion.add_argument(
         "--s-star", type=float, default=0.0,
-        help="decision threshold (default: 0); the exchange's mirror about it is exact "
-        "at 0 and can round elsewhere, e.g. at 0.5 for probability scores: a check that "
-        "fails on such data exits 3 and names the first row whose exchange is not exact",
+        help="decision threshold (default: 0), e.g. 0.5 for probability scores; each score s "
+        "is read as s - s_star, which keeps its class and confidence and makes the exchange exact",
     )
 
     p_eval = sub.add_parser("eval", parents=[ingestion], help="compute the metrics report")
@@ -166,11 +166,12 @@ def _write_decision_rate_artifacts(directory: Path, cumulative, rate, suffix: st
 
 
 def _cmd_eval(parser, args) -> int:
-    dataset, spec = file_io.ingest(args.input, args.format, args.positive_label, args.s_star)
-
-    view, sweep = _rank_and_score_sweep(dataset, spec)  # the sweep serves the AUROC and the ROC curve
+    rows = file_io.read_prediction_rows(args.input, args.format)
+    read, spec, _ = file_io.build_dataset(rows, args.positive_label, path=args.input)
+    # ranked centred and swept as read: centring can merge distinct scores, which AUROC tells apart
+    view, sweep = _rank_and_score_sweep(file_io._centred(read, args.s_star, args.input), spec, read)
     rep = _report(view, sweep)
-    payload = {**rep.as_dict(), "n": len(dataset), "total_weight": dataset.total_weight}
+    payload = {**rep.as_dict(), "n": len(read), "total_weight": read.total_weight}
     for key, value in payload.items():
         if value is not None and not math.isfinite(value):
             print(f"lxcim: {key} is {value!r}: the weights overflow float arithmetic", file=sys.stderr)
@@ -229,10 +230,16 @@ def _cmd_check(parser, args) -> int:
 
 def _cmd_duplicate(parser, args) -> int:
     rows = file_io.read_prediction_rows(args.input, args.format)
-    dataset, spec, negative = file_io.build_dataset(
-        rows, args.positive_label, args.s_star, path=args.input
-    )
+    read, spec, negative = file_io.build_dataset(rows, args.positive_label, path=args.input)
+    dataset = file_io._centred(read, args.s_star, args.input)
     doubled = duplicate_dataset(dataset, spec)
+    if dataset is not read:  # the rows as read, then each centred mirror m written as s_star + m
+        a, n = args.s_star, len(read)
+        mirrors = file_io._shifted(
+            doubled.scores[n:], a, args.input,
+            lambda i: f"the exchange of score {float(read.scores[i])!r} about s_star {a!r} is not finite",
+        )
+        doubled = Dataset._from_valid(np.concatenate((read.scores, mirrors)), doubled.labels, doubled.weights)
     if negative is None:
         negative = "0" if args.positive_label != "0" else "1"
     file_io.write_prediction_file(args.output, doubled, args.format, args.positive_label, negative)
@@ -296,15 +303,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an overflowing map or total is reported once, below, not as numpy warnings
+        # an overflowing weight total is reported once, below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(parser, args)
-    except NonFiniteMapError as exc:
-        print(
-            f"lxcim: {exc}: a confidence or reflection overflows at this threshold",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
     except LxcimError as exc:
         print(f"lxcim: {exc}", file=sys.stderr)
         return EXIT_DATA

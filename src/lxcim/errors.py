@@ -12,8 +12,6 @@ __all__ = [
     "SingleClassError",
     "InvalidMaskError",
     "InfeasiblePerturbationError",
-    "NonFiniteMapError",
-    "InexactExchangeError",
     "PredictionFileError",
     "ParseError",
     "UnknownLabelError",
@@ -40,17 +38,6 @@ class InvalidMaskError(LxcimError):
 
 class InfeasiblePerturbationError(LxcimError):
     """A confusion-matrix perturbation would drive an entry below zero."""
-
-
-class NonFiniteMapError(LxcimError, ValueError):
-    """A spec's confidence or reflection map gave a NaN or infinite value on finite scores.
-
-    Usually a threshold so far from the scores that ``s - s_star`` overflows.
-    """
-
-
-class InexactExchangeError(LxcimError):
-    """A check or identity failed on data whose exchange the spec does not make exact."""
 
 
 class PredictionFileError(LxcimError):

@@ -1,10 +1,11 @@
 """Local exchange of classes: the transform, duplication, and checkers.
 
-Exchanging a sample reflects its score to the other side of the decision
-threshold (at equal confidence) and flips its label, so the decision's
-correctness is untouched.  Metrics that only depend on how well decisions are
-made, never on which class they favour, must be invariant when any subset of
-samples is exchanged.  Accuracy, LxCIM and AUDRC are; AUROC and most
+Exchanging a sample negates its score, which moves it to the other side of
+the decision threshold 0 at equal confidence, and flips its label, so the
+decision's correctness is untouched.  Negation is exact, so an exchange
+never merges or splits a tie group.  Metrics that only depend on how well
+decisions are made, never on which class they favour, must be invariant when
+any subset of samples is exchanged.  Accuracy, LxCIM and AUDRC are; AUROC and most
 categorical scores are not, and the checkers here hunt for witness
 counterexamples.
 
@@ -22,14 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    EmptyDatasetError,
-    InexactExchangeError,
-    InfeasiblePerturbationError,
-    InvalidMaskError,
-    LxcimError,
-    NonFiniteMapError,
-)
+from .errors import EmptyDatasetError, InfeasiblePerturbationError, InvalidMaskError, LxcimError
 from .metrics import ConfusionMatrix
 from .model import _CHECK_TOLERANCE, Dataset, DecisionSpec, _sharing_weight_order, _WeightOrder, _whole_number
 
@@ -114,7 +108,7 @@ class ExchangeMask:
 def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
     """Exchange the samples at the masked positions, leaving the rest alone.
 
-    Exchanging a sample reflects its score and flips its label; a sample
+    Exchanging a sample negates its score and flips its label; a sample
     sitting exactly at the threshold is its own exchange.
     """
     idx = (mask if isinstance(mask, ExchangeMask) else ExchangeMask(mask)).indices
@@ -124,79 +118,45 @@ def exchange_subset(dataset: Dataset, mask, spec: DecisionSpec) -> Dataset:
         )
     take = np.zeros(len(dataset), dtype=bool)
     take[idx] = True
-    mirror, fixed, finite = _mirror(dataset, spec)
-    return _exchange(dataset, take, mirror, finite, ~fixed)
+    mirror, fixed = _mirror(dataset)
+    return _exchange(dataset, take, mirror, ~fixed)
 
 
-def _mirror(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scores of the full exchange, the samples at the threshold, and whether those scores are all finite.
+def _mirror(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the full exchange, and the samples at the threshold, which keep their class.
 
-    A sample at the threshold is its own exchange.  A user's reflection map
-    can overflow; then only exchanges that take a non-finite score are
-    refused (see :func:`_exchange`).
+    A sample at 0 is its own exchange and keeps its bits, so a -0.0 stays
+    -0.0; every other score is negated.
     """
     scores = dataset.scores
-    fixed = scores == spec.s_star
-    mirror = np.where(fixed, scores, spec.reflect_at(scores))
-    return mirror, fixed, bool(np.isfinite(mirror).all())
-
-
-def _require_exact(dataset: Dataset, spec: DecisionSpec, mirror: np.ndarray, fixed: np.ndarray) -> None:
-    """Raise ``InexactExchangeError`` on the first row whose exchange is not exact.
-
-    ``mirror`` and ``fixed`` are the dataset's :func:`_mirror`.  Each row off
-    the threshold with a finite mirror must keep its confidence bit for bit,
-    land on the other side of ``s_star``, and be mirrored back to its score:
-    a one-ulp change of confidence can merge or split a tie group.  The check
-    and the verifiers apply this rule before a verdict that does not pass.
-    """
-    scores, a = dataset.scores, spec.s_star
-    conf, conf_mirror, back = spec.confidence_at(scores), spec.confidence_at(mirror), spec.reflect_at(mirror)
-    changed, stays = conf_mirror != conf, np.where(scores > a, mirror >= a, mirror <= a)
-    bad = ~fixed & np.isfinite(mirror) & (changed | stays | (back != scores))
-    if bad.any():
-        i = int(bad.argmax())
-        what = (
-            f"changes its confidence from {float(conf[i])!r} to {float(conf_mirror[i])!r}" if changed[i]
-            else "is not on the other side of the threshold" if stays[i]
-            else f"mirrors back to {float(back[i])!r}"
-        )
-        raise InexactExchangeError(
-            f"row {i + 1}: the exchange of score {float(scores[i])!r} gives {float(mirror[i])!r}, "
-            f"which {what}: the exchange is not exact at s_star = {a!r}"
-        )
+    fixed = scores == 0.0
+    return np.where(fixed, scores, -scores), fixed
 
 
 def _exchange(
-    dataset: Dataset, take: np.ndarray, mirror: np.ndarray, finite: bool, flip: np.ndarray,
+    dataset: Dataset, take: np.ndarray, mirror: np.ndarray, flip: np.ndarray,
     weight_order: _WeightOrder | None = None,
 ) -> Dataset:
     """Exchange the samples where the bool array ``take`` is set, from the ``_mirror`` scores.
 
     ``flip`` marks the samples off the threshold, whose labels an exchange
     flips.  The result shares the weights, and ``weight_order`` when given,
-    and is built without re-validation, since 0/1 labels XOR a bool stay
-    0/1; only non-finite mirror scores are looked for.
+    and is built without re-validation, since negated finite scores stay
+    finite and 0/1 labels XOR a bool stay 0/1.
     """
     scores = np.where(take, mirror, dataset.scores)
-    if not finite and not np.isfinite(scores).all():
-        raise NonFiniteMapError("scores must all be finite")
     labels = dataset.labels ^ (take & flip)
     return Dataset._from_valid(scores, labels, dataset.weights, weight_order)
 
 
-def _full_exchange(dataset: Dataset, spec: DecisionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the full exchange, and the samples at the threshold, which keep their class.
+def _full_exchange(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_mirror` of a dataset that is not empty.
 
-    Shared by :func:`duplicate_dataset` and the identity verifiers; an empty
-    dataset or a reflection that is not finite raises.
+    Shared by :func:`duplicate_dataset` and the identity verifiers.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot duplicate an empty dataset")
-    mirror, fixed, finite = _mirror(dataset, spec)
-    if not finite:
-        raise NonFiniteMapError("scores must all be finite")
-    return mirror, fixed
+    return _mirror(dataset)
 
 
 def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
@@ -205,7 +165,7 @@ def duplicate_dataset(dataset: Dataset, spec: DecisionSpec) -> Dataset:
     When no sample sits at the threshold the result carries equal positive and
     negative weight, and its AUROC equals the original dataset's LxCIM.
     """
-    scores, fixed = _full_exchange(dataset, spec)
+    scores, fixed = _full_exchange(dataset)
     labels = dataset.labels
     return Dataset._from_valid(
         np.concatenate((dataset.scores, scores)),
@@ -275,16 +235,13 @@ def check_rank_lxc_invariance(
     Masks are drawn uniformly over all 2^N subsets (independent fair bit per
     position).  A deviation beyond the report's ``tolerance`` of 1e-9, or the
     metric failing on an exchanged dataset it accepted originally (e.g. AUROC
-    turning single-class), is recorded as a witness; a ``NonFiniteMapError``
-    is raised, not recorded.  A NaN or infinite value deviates by inf, and on
-    the dataset itself raises ``LxcimError``.  Before the first witness is
-    recorded, an exchange that the spec does not make exact raises
-    ``InexactExchangeError`` (see :func:`_require_exact`).  Trials run
-    sequentially from one seeded generator, so a witness is reproducible
-    from (seed, trial).
+    turning single-class), is recorded as a witness.  A NaN or infinite
+    value deviates by inf, and on the dataset itself raises ``LxcimError``.
+    Trials run sequentially from one seeded generator, so a witness is
+    reproducible from (seed, trial).
 
     A trial costs one O(N) exchange plus one metric call.  The full
-    exchange is reflected once per check; a trial draws its fair bits and
+    exchange is negated once per check; a trial draws its fair bits and
     takes each sample from the original or from that mirror, without
     re-checking the arrays (see ``Dataset._from_valid``).  An
     ``ExchangeMask`` is built only for the witness.
@@ -299,23 +256,20 @@ def check_rank_lxc_invariance(
     data = _sharing_weight_order(dataset)
     baseline, trials, seed = _baseline(metric, data, trials, seed)
     rng = np.random.default_rng(seed)
-    mirror, fixed, finite = _mirror(dataset, spec)
+    mirror, fixed = _mirror(dataset)
     flip = ~fixed
     max_deviation = 0.0
     witness: ExchangeWitness | None = None
     for trial in range(trials):
         take = rng.random(n) < 0.5
-        exchanged = _exchange(dataset, take, mirror, finite, flip, data._weight_order)
+        exchanged = _exchange(dataset, take, mirror, flip, data._weight_order)
         try:
             value, error = float(metric(exchanged)), None
-        except NonFiniteMapError:
-            raise  # the spec fails on exchanged scores: an error, not a witness
         except LxcimError as exc:
             value, error = None, type(exc).__name__
         deviation = _deviation(value, baseline) if error is None else math.inf
         max_deviation = max(max_deviation, deviation)
         if deviation > _CHECK_TOLERANCE and witness is None:
-            _require_exact(dataset, spec, mirror, fixed)  # an inexact exchange is no witness
             witness = ExchangeWitness(
                 trial=trial, mask=ExchangeMask(take.nonzero()[0]), value=value, error=error
             )

@@ -47,7 +47,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .metrics import Curve
-from .model import Dataset, DecisionSpec, make_abs_spec
+from .model import Dataset, DecisionSpec, _threshold, make_abs_spec
 
 __all__ = [
     "PredictionColumns",
@@ -361,12 +361,13 @@ def build_dataset(
     *,
     path: str | None = None,
 ) -> tuple[Dataset, DecisionSpec, str | None]:
-    """Turn parsed columns into a dataset; returns the negative label text too.
+    """Turn parsed columns into a dataset centred at ``s_star``; returns the spec and the negative label too.
 
-    At most two distinct label values may appear, and if two do, one must be
-    ``positive_label``.  A file whose only label differs from
-    ``positive_label`` is a legal all-negative dataset (AUROC is undefined
-    there, not an error).  ``positive_label`` must be a ``str``, as the
+    The dataset's scores are ``s - s_star`` (see :func:`_centred`), and the
+    spec is the library's one spec, at 0.  At most two distinct label values
+    may appear, and if two do, one must be ``positive_label``.  A file whose
+    only label differs from ``positive_label`` is a legal all-negative
+    dataset (AUROC is undefined there, not an error).  ``positive_label`` must be a ``str``, as the
     file's labels are: ValueError otherwise.
     """
     if not isinstance(positive_label, str):
@@ -388,7 +389,7 @@ def build_dataset(
     negative = next((name for name in seen if name != positive_label), None)
     is_positive = np.fromiter(map(positive_label.__eq__, rows.labels), dtype=bool, count=len(rows))
     dataset = Dataset(rows.scores, is_positive, rows.weights)
-    return dataset, make_abs_spec(s_star), negative
+    return _centred(dataset, s_star, path), make_abs_spec(0.0), negative
 
 
 def ingest(
@@ -397,10 +398,40 @@ def ingest(
     positive_label: str = "1",
     s_star: float = 0.0,
 ) -> tuple[Dataset, DecisionSpec]:
-    """Read a prediction file into a dataset plus its threshold spec."""
+    """Read a prediction file into a dataset centred at ``s_star``, plus the spec at 0."""
     rows = read_prediction_rows(path, format)
     dataset, spec, _ = build_dataset(rows, positive_label, s_star, path=str(path))
     return dataset, spec
+
+
+def _centred(dataset: Dataset, s_star: float, path: str | None = None) -> Dataset:
+    """The dataset with each score s read as ``s - s_star``; the dataset itself at 0.
+
+    IEEE subtraction with gradual underflow gives ``s - s_star == 0`` only
+    when ``s == s_star``, and it rounds monotonically, so each row keeps its
+    class and its confidence ``abs(s - s_star)`` bit for bit.  ``s_star``
+    must be a finite number, not a boolean (ValueError); a shift that
+    overflows raises NonFiniteValueError naming its row.
+    """
+    a = _threshold(s_star)
+    if a == 0.0:
+        return dataset
+    scores = _shifted(
+        dataset.scores, -a, path, lambda i: f"score {float(dataset.scores[i])!r} minus s_star {a!r} is not finite"
+    )
+    return Dataset._from_valid(scores, dataset.labels, dataset.weights)
+
+
+def _shifted(scores: np.ndarray, by: float, path: str | None, message) -> np.ndarray:
+    """``scores + by``, a new array; NonFiniteValueError for the first row where that
+    overflows, with the text ``message(index)``."""
+    with np.errstate(over="ignore"):
+        shifted = scores + by
+    finite = np.isfinite(shifted)
+    if not finite.all():
+        index = int(finite.argmin())
+        raise NonFiniteValueError(message(index), path=path, row=index + 1)
+    return shifted
 
 
 # Writing.  Each float is written as its ``repr`` (see the module docstring).

@@ -159,9 +159,9 @@ def _require_nonempty(dataset: Dataset) -> None:
 
 
 def confusion_matrix(dataset: Dataset, spec: DecisionSpec) -> ConfusionMatrix:
-    """Weighted confusion matrix of the fixed rule "predict 1 iff s > s_star"."""
+    """Weighted confusion matrix of the fixed rule "predict 1 iff s > 0"."""
     _require_nonempty(dataset)
-    predicted = dataset.scores > spec.s_star
+    predicted = dataset.scores > 0.0
     actual = dataset.labels.astype(bool)
     w = dataset.weights
     return ConfusionMatrix(
@@ -389,18 +389,20 @@ def _audrc(view: RankedView) -> float:
 
 def report(dataset: Dataset, spec: DecisionSpec) -> MetricsReport:
     """All four metrics at once, from one ranking; auroc is None for one-class data."""
-    return _report(*_rank_and_score_sweep(dataset, spec))
+    return _report(*_rank_and_score_sweep(dataset, spec, dataset))
 
 
-def _rank_and_score_sweep(dataset: Dataset, spec: DecisionSpec):
-    """The dataset's ranking, and its score sweep or None when its labels hold one class.
+def _rank_and_score_sweep(dataset: Dataset, spec: DecisionSpec, swept: Dataset):
+    """The dataset's ranking, and the score sweep of ``swept`` or None when the labels hold one class.
 
-    Data of one class, empty data included, is only ranked.
+    ``swept`` is the dataset itself, or the same rows with the scores as
+    read before centring.  Data of one class, empty data included, is only
+    ranked.
     """
     positives = np.count_nonzero(dataset.labels)
     if positives == 0 or positives == len(dataset):
         return rank_by_confidence(dataset, spec), None
-    return _rank_and_sweep(dataset, spec, _sweep_inputs(dataset))
+    return _rank_and_sweep(dataset, spec, _sweep_inputs(swept))
 
 
 # Rows from which the ranking and a sweep run on two threads.  On a 2-core x86
@@ -421,11 +423,10 @@ def _two_cpus() -> bool:
 def _rank_and_sweep(dataset: Dataset, spec: DecisionSpec, inputs):
     """``rank_by_confidence(dataset, spec)`` and ``_sweep(*inputs)``, on two CPUs when that pays.
 
-    The caller builds ``inputs`` on its own thread, which alone runs the
-    spec's maps; the sweep runs no user code.  From ``_HELPER_MIN_N`` rows,
-    with two CPUs, a helper thread sweeps under the caller's
-    ``np.errstate`` while this thread ranks; otherwise the sweep runs
-    first.  Either way, when both raise, the sweep's error is raised.
+    From ``_HELPER_MIN_N`` rows, with two CPUs, a helper thread sweeps under
+    the caller's ``np.errstate`` while this thread ranks; otherwise the
+    sweep runs first.  Either way, when both raise, the sweep's error is
+    raised.
     """
     if len(dataset) < _HELPER_MIN_N or not _two_cpus():
         swept = _sweep(*inputs)

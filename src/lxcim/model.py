@@ -1,11 +1,14 @@
-"""Core data model: datasets, decision specs, and confidence ranking.
+"""Core data model: datasets, the decision spec, and confidence ranking.
 
-A binary decision rule here is "predict 1 iff score > s_star".  A
-:class:`DecisionSpec` bundles that threshold with a confidence map (how far a
-score sits from the threshold, in whatever units the caller likes) and a
-reflection map that sends a score to the equally-confident score on the other
-side of the threshold.  Ranking a dataset by descending confidence is the
-substrate for every decision-rate metric in :mod:`lxcim.metrics`.
+A binary decision here is a signed confidence t: it predicts 1 iff t > 0,
+its confidence is |t|, and the local exchange of its class is -t, exact for
+every finite t (t = 0 is its own exchange).  Scores judged against another
+threshold a are centred once, t = s - a, where they are read: IEEE
+subtraction with gradual underflow gives s - a = 0 only when s = a, and it
+rounds monotonically, so each row keeps its class and its confidence is
+|s - a| bit for bit.  A :class:`DecisionSpec` therefore holds only the
+threshold 0.  Ranking a dataset by descending confidence is the substrate
+for every decision-rate metric in :mod:`lxcim.metrics`.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyDatasetError, NonFiniteMapError
+from .errors import EmptyDatasetError
 
 __all__ = [
     "Dataset",
@@ -63,11 +65,11 @@ class Dataset:
 
     The constructor copies and checks all three arrays.  Exchanges and
     duplications build their results with :meth:`_from_valid` instead, which
-    skips both: those arrays are valid by construction (labels flipped from
-    0/1, weights shared read-only), and only the reflected scores, which a
-    user's reflection map can overflow, are checked for finiteness there.
-    Only :meth:`_from_valid` attaches a ``_WeightOrder`` of the weights, which
-    the exchanged datasets of one invariance check share for their rankings.
+    skips both: those arrays are valid by construction (scores negated or
+    centred and checked finite, labels flipped from 0/1, weights shared
+    read-only).  Only :meth:`_from_valid` attaches a ``_WeightOrder`` of the
+    weights, which the exchanged datasets of one invariance check share for
+    their rankings.
     """
 
     __slots__ = ("scores", "labels", "weights", "_weight_order")
@@ -168,49 +170,30 @@ def _threshold(value) -> float:
     return float(value)
 
 
-# a map that overflows gives a non-finite value, which the caller reports as a
-# typed error, not as a numpy warning first (as a decorator: half the cost of a with)
-@np.errstate(over="ignore", invalid="ignore")
-def _apply_map(fn: Callable, values: np.ndarray) -> np.ndarray:
-    """Apply a vectorized map over a float array."""
-    out = np.asarray(fn(values), dtype=float)
-    if out.shape != values.shape:
-        raise ValueError(
-            f"confidence and reflection maps must be vectorized: input shape "
-            f"{values.shape} gave output shape {out.shape}"
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class DecisionSpec:
-    """Decision threshold plus confidence and reflection maps.
+    """The decision rule "predict 1 iff score > 0", the library's one threshold.
 
-    ``confidence`` must be zero at ``s_star``, positive elsewhere, strictly
-    decreasing below the threshold and strictly increasing above it.
-    ``reflect`` must map each score to the opposite-side score with the same
-    confidence (an involution that fixes ``s_star``).  Both maps must be
-    vectorized: called on a float array, they return an array of its shape.
-    ``confidence_at`` and ``reflect_at`` apply them to ``np.asarray(scores)``
-    and return float64 of its shape, 0-d for a scalar.
+    A score is a signed confidence: its confidence is ``abs(score)`` and its
+    exchange is ``-score``, both exact.  ``s_star`` must be 0, or ValueError
+    is raised: scores judged against another threshold ``a`` are centred
+    once instead, with ``ingest(..., s_star=a)`` or ``Dataset(scores - a,
+    ...)``.
     """
 
     s_star: float
-    confidence: Callable
-    reflect: Callable
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s_star", _threshold(self.s_star))
-
-    def confidence_at(self, scores) -> np.ndarray:
-        return _apply_map(self.confidence, np.asarray(scores, dtype=float))
-
-    def reflect_at(self, scores) -> np.ndarray:
-        return _apply_map(self.reflect, np.asarray(scores, dtype=float))
+        if _threshold(self.s_star) != 0.0:
+            raise ValueError(
+                f"s_star must be 0, got {self.s_star!r}: centre the scores once instead, with "
+                f"ingest(..., s_star={self.s_star!r}) or Dataset(scores - {self.s_star!r}, ...)"
+            )
+        object.__setattr__(self, "s_star", 0.0)
 
 
 def predict(score, spec: DecisionSpec):
-    """Binary prediction: 1 iff the score is strictly above the threshold.
+    """Binary prediction: 1 iff the score is strictly above the threshold 0.
 
     A score exactly at the threshold predicts the negative class.  Returns
     int64 of the input's shape (0-d for a scalar); raises ValueError if any
@@ -219,23 +202,17 @@ def predict(score, spec: DecisionSpec):
     scores = np.asarray(score, dtype=float)
     if not np.isfinite(scores).all():
         raise ValueError("scores must all be finite")
-    return (scores > spec.s_star).astype(np.int64)
+    return (scores > 0.0).astype(np.int64)
 
 
 def make_abs_spec(s_star: float = 0.0) -> DecisionSpec:
-    """Canonical spec: confidence |s - s_star|, mirror reflection about s_star.
+    """The spec at zero: confidence ``abs(s)``, exchange ``-s``.
 
-    The reflection is computed as ``s_star - (s - s_star)``.  At s_star = 0
-    it is negation, which keeps confidence symmetry and the involution
-    bit-exact.  At any other s_star it can round: at s_star = 0.5 the mirror
-    of 0.04 rounds to 0.96, whose confidence is one ulp below that of 0.04,
-    so an exchange can merge or split a tie.  The transforms apply it as it
-    is; a check or verifier that would fail on such data raises
-    ``InexactExchangeError`` instead (ROADMAP item 14).  ``s_star`` must be
-    a finite number, not a boolean.
+    ``s_star`` must be 0, a finite number and not a boolean, as for
+    :class:`DecisionSpec`; centre scores judged against another threshold
+    before they reach the library.
     """
-    a = _threshold(s_star)
-    return DecisionSpec(s_star=a, confidence=lambda s: abs(s - a), reflect=lambda s: a - (s - a))
+    return DecisionSpec(s_star)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +226,9 @@ class RankedView:
     here is identical before and after exchanging any subset and independent
     of input order.  Side of the threshold (below first), then dataset
     position, break the remaining ties, between samples whose relative order
-    cannot affect the prefix sums.  Under the DecisionSpec contract a tie group
-    holds at most one score per side, and correctness plus side fix the label,
-    so this is the order of (score, label) as well.
+    cannot affect the prefix sums.  A tie group holds at most one score per
+    side, t and -t, and correctness plus side fix the label, so this is the
+    order of (score, label) as well.
 
     ``cum_weight`` and ``cum_correct_weight`` are per-sample prefix sums of
     weight and of weight restricted to correctly predicted samples.
@@ -353,28 +330,22 @@ def _canonical_ties(order, new_group, groups, correct, predicted, weights, weigh
 
 
 def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
-    """Order a dataset by descending confidence and mark tie groups.
+    """Order a dataset by descending confidence ``abs(score)`` and mark tie groups.
 
     When the confidences are all distinct, one argsort gives the order.
     Otherwise the tied samples are reordered into the canonical suborder;
     the result equals one lexsort on (confidence, correctness, weight, score,
-    label, position) for any spec that meets the DecisionSpec contract.
-
-    Raises EmptyDatasetError for an empty dataset and NonFiniteMapError if
-    the confidence map produces non-finite values.
+    label, position).  Raises EmptyDatasetError for an empty dataset.
     """
     scores = dataset.scores
     n = len(scores)
     if n == 0:
         raise EmptyDatasetError("cannot rank an empty dataset")
-    conf = spec.confidence_at(scores)
+    conf = np.abs(scores)
     order = (-conf).argsort()
     conf_r = conf[order]
-    # the sort puts +inf first and -inf, then NaN, last
-    if not (math.isfinite(conf_r[0]) and math.isfinite(conf_r[-1])):
-        raise NonFiniteMapError("confidence map produced non-finite values")
 
-    predicted = scores > spec.s_star
+    predicted = scores > 0.0
     correct_all = predicted == dataset.labels.astype(bool)
     new_group = conf_r[1:] != conf_r[:-1]
     groups = np.count_nonzero(new_group) + 1

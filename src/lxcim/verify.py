@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, SingleClassError
-from .exchange import _full_exchange, _require_exact
+from .exchange import _full_exchange
 from .metrics import (
     Curve,
     _accuracy,
@@ -86,11 +86,10 @@ def _rank_and_sweep_doubled(dataset: Dataset, spec: DecisionSpec):
     """The dataset's ranking, and the score sweep of its duplicate taken from the duplicate itself.
 
     The duplicate's second half comes from ``_full_exchange``, as in
-    ``duplicate_dataset``, and its sweep inputs are built here, on the
-    calling thread, which alone runs the spec's maps; ``_rank_and_sweep``
-    may sweep them on a helper thread.
+    ``duplicate_dataset``, and its sweep inputs are built here;
+    ``_rank_and_sweep`` may sweep them on a helper thread.
     """
-    mirror, fixed = _full_exchange(dataset, spec)
+    mirror, fixed = _full_exchange(dataset)
     # negated scores of the original rows, then of their full exchange
     key = np.concatenate((dataset.scores, mirror))
     del mirror  # n scores that would otherwise stay alive through the ranking and the sweep
@@ -131,23 +130,18 @@ def verify_doubling_identity(dataset: Dataset, spec: DecisionSpec) -> DoublingRe
     H is the area under ROC(duplicated) left of FPR = 1 - ACC.  Exact only
     when no sample sits at the threshold (such samples keep their class under
     duplication and unbalance the two sides).  The report passes when both
-    deviations are at most its ``tolerance``, 1e-9.  A report that would not
-    pass raises ``InexactExchangeError`` instead when the spec's exchange of
-    some row is not exact, as a check's witness does.
+    deviations are at most its ``tolerance``, 1e-9.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)  # one sweep for the AUROC and the ROC
     lx = _lxcim(view)
     au = _auroc(sweep)
     acc = _accuracy(view)
     h = _area_left_of(_roc_curve(sweep), 1.0 - acc)
-    rep = DoublingReport(
+    return DoublingReport(
         lxcim_original=lx, auroc_duplicated=au, accuracy_original=acc, h_area=h,
         doubling_deviation=abs(au - lx), area_identity_deviation=abs(au - (acc * acc + 2.0 * h)),
         tolerance=_CHECK_TOLERANCE,
     )
-    if not rep.passed:
-        _require_exact(dataset, spec, *_full_exchange(dataset, spec))
-    return rep
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,7 @@ def verify_crossing_point(dataset: Dataset, spec: DecisionSpec) -> CrossingRepor
     Along the curve x + y - 1 is strictly increasing (both coordinates are
     non-decreasing and never simultaneously constant), so the crossing is
     unique; it must land at (1 - ACC, ACC), within the report's
-    ``tolerance`` of 1e-9.  An inexact exchange raises as in
-    :func:`verify_doubling_identity`.
+    ``tolerance`` of 1e-9.
     """
     view, sweep = _rank_and_sweep_doubled(dataset, spec)
     curve = _roc_curve(sweep)
@@ -191,10 +184,7 @@ def verify_crossing_point(dataset: Dataset, spec: DecisionSpec) -> CrossingRepor
         )
     expected = (1.0 - acc, acc)
     deviation = max(abs(found[0] - expected[0]), abs(found[1] - expected[1]))
-    rep = CrossingReport(expected=expected, found=found, deviation=deviation, tolerance=_CHECK_TOLERANCE)
-    if not rep.passed:
-        _require_exact(dataset, spec, *_full_exchange(dataset, spec))
-    return rep
+    return CrossingReport(expected=expected, found=found, deviation=deviation, tolerance=_CHECK_TOLERANCE)
 
 
 class GeneratorKind(enum.Enum):
@@ -323,7 +313,7 @@ def _study_deviations(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarra
     suborder of :class:`RankedView` fixes, cannot change a bit.
     """
     rows, size = scores.shape
-    conf = np.abs(scores - 0.0)
+    conf = np.abs(scores)
     order = (-conf).argsort(axis=1)
     conf = np.take_along_axis(conf, order, axis=1)
     correct = np.take_along_axis((scores > 0.0) == labels, order, axis=1)

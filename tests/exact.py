@@ -2,8 +2,9 @@
 
 Every value is a :class:`fractions.Fraction` taken from the definitions,
 over the rows of a :class:`lxcim.Dataset` that :func:`samples` reads, and
-the threshold ``s_star`` of the canonical spec ``make_abs_spec(s_star)``:
-confidence ``|s - s_star|``, reflection ``2 s_star - s``.  A float converts
+a threshold ``s_star``: confidence ``|s - s_star|``, reflection
+``2 s_star - s``.  The library sees the same rows centred, ``s - s_star``,
+at its one threshold 0.  A float converts
 to a Fraction exactly, so no step rounds, and nothing here calls the
 library's ranking or sweep.  ``float(value)`` rounds the result once.
 

@@ -237,34 +237,54 @@ def probability_csvs(directory: Path):
     return directory / "prob.csv", directory / "centred.csv"
 
 
-class TestInexactExchange:
-    """At --s-star 0.5 the mirror rounds on 2-decimal scores: a failing check is a data error, not a violation."""
-
-    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "auroc"])
-    def test_failing_check_exits_three_naming_the_row(self, tmp_path, capsys, metric):
-        prob, _ = probability_csvs(tmp_path)
-        code = run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", metric])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("lxcim: row ") and line.endswith(": the exchange is not exact at s_star = 0.5")
-        # the named row's mirror does round: its confidence moves
-        row = int(line.split()[2].rstrip(":"))
-        score = float(ingest(prob)[0].scores[row - 1])
-        assert abs((0.5 - (score - 0.5)) - 0.5) != abs(score - 0.5)
-        assert f"the exchange of score {score!r} gives " in line
-
-    def test_accuracy_never_ranks_and_holds(self, tmp_path, capsys):
-        prob, _ = probability_csvs(tmp_path)
-        assert run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", "accuracy"]) == 0
-        assert "max_deviation=0.000e+00" in capsys.readouterr().out
+class TestProbabilityThreshold:
+    """At --s-star 0.5 the scores are centred once, so every exchange is exact."""
 
     @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy"])
-    def test_centred_scores_hold_exactly(self, tmp_path, capsys, metric):
-        _, centred = probability_csvs(tmp_path)
-        assert run(["check", "--input", centred, "--trials", 20, "--metric", metric]) == 0
+    def test_check_holds_exactly(self, tmp_path, capsys, metric):
+        prob, centred = probability_csvs(tmp_path)
+        assert run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", metric]) == 0
         out = capsys.readouterr().out
         assert "max_deviation=0.000e+00" in out and "invariant holds" in out
+        # the same report as the scores shifted by -0.5 and checked at 0
+        assert run(["check", "--input", centred, "--trials", 20, "--metric", metric]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_auroc_check_finds_a_witness(self, tmp_path, capsys):
+        prob, _ = probability_csvs(tmp_path)
+        assert run(["check", "--input", prob, "--s-star", 0.5, "--trials", 20, "--metric", "auroc"]) == 1
+        out = capsys.readouterr().out
+        deviation = float(out.split("max_deviation=")[1].split()[0])
+        assert 1e-9 < deviation < 1.0 and "violation witness: trial 0, mask [" in out
+
+    def test_eval_sweeps_the_scores_as_read(self, tmp_path, capsys):
+        # 1e-18 and 2e-18 both centre to -0.5: ranked as one tie group, but AUROC tells them apart
+        path = tmp_path / "tiny.csv"
+        path.write_text("score,label\n2e-18,1\n1e-18,0\n0.9,1\n0.2,0\n", encoding="utf-8")
+        assert run(["eval", "--input", path, "--s-star", 0.5, "--output", "json", "--curves-dir", tmp_path / "c"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        read, spec = ingest(path)
+        centred, _ = ingest(path, s_star=0.5)
+        assert centred.scores[0] == centred.scores[1]
+        assert payload["auroc"] == lxcim.auroc(read) == 0.75 and lxcim.auroc(centred) == 0.625
+        assert payload["lxcim"] == lxcim.lxcim(centred, spec) and payload["accuracy"] == 0.75
+        lxcim.write_curve_csv(tmp_path / "roc.csv", lxcim.roc_curve(read))
+        assert (tmp_path / "c" / "roc.csv").read_bytes() == (tmp_path / "roc.csv").read_bytes()
+
+    @pytest.mark.parametrize("s_star", [0.5, 0.3, 0.07])
+    def test_duplicate_writes_the_mirror_about_s_star(self, tmp_path, capsys, s_star):
+        # the rows as read, then s_star + m for each centred mirror m: the bytes of s_star - (s - s_star)
+        prob, _ = probability_csvs(tmp_path)
+        out_path = tmp_path / "doubled.csv"
+        assert run(["duplicate", "--input", prob, "--s-star", s_star, "--output", out_path]) == 0
+        read, _ = ingest(prob)
+        doubled, _ = ingest(out_path)
+        s = read.scores
+        at = s == s_star
+        assert np.any(at)
+        expected = np.concatenate((s, np.where(at, s, s_star - (s - s_star))))
+        assert doubled.scores.tobytes() == expected.tobytes()
+        assert doubled.labels.tolist() == read.labels.tolist() + np.where(at, read.labels, 1 - read.labels).tolist()
 
 
 class TestDuplicate:
@@ -300,6 +320,15 @@ class TestDuplicate:
         assert "cause" in text and "effect" in text
         back, _ = ingest(out_path, positive_label="cause")
         assert back.labels.tolist() == [1, 0, 0, 1]
+
+    def test_rows_at_zero_keep_their_bits(self, tmp_path, capsys):
+        # a row at the threshold is its own exchange: a -0.0 is written as -0.0 both times
+        src = tmp_path / "zeros.csv"
+        src.write_text("score,label\n-0.0,1\n0.0,0\n-1.5,0\n", encoding="utf-8")
+        out_path = tmp_path / "doubled.csv"
+        assert run(["duplicate", "--input", src, "--output", out_path]) == 0
+        rows = ["-0.0,1", "0.0,0", "-1.5,0", "-0.0,1", "0.0,0", "1.5,1"]
+        assert out_path.read_text().splitlines()[1:] == [row + ",1.0" for row in rows]
 
     def test_unwritable_output(self, d0_csv, tmp_path, capsys):
         output = tmp_path / "no" / "x.csv"
@@ -501,27 +530,29 @@ class TestChartBytes:
 
 
 class TestNonFiniteMap:
-    """A threshold whose confidence or reflection overflows is a data error, exit 3."""
+    """A threshold whose shift of a score, or of its written exchange, overflows is a data error, exit 3."""
+
+    CENTRING = "lxcim: far.csv: row 1: score 1e+308 minus s_star -1e+308 is not finite\n"
 
     @pytest.mark.parametrize(
-        "command, scores, s_star",
+        "command, scores, s_star, message",
         [
-            (["duplicate", "--output", "out.csv"], ("1.0", "-2.0"), "1e308"),
-            (["eval"], ("1e308", "-2.0"), "-1e308"),
-            (["check", "--metric", "lxcim"], ("1e308", "-2.0"), "-1e308"),
+            (["duplicate", "--output", "out.csv"], ("1.0", "-2.0"), "1e308",
+             "lxcim: far.csv: row 1: the exchange of score 1.0 about s_star 1e+308 is not finite\n"),
+            (["eval"], ("1e308", "-2.0"), "-1e308", CENTRING),
+            (["check", "--metric", "lxcim"], ("1e308", "-2.0"), "-1e308", CENTRING),
         ],
         ids=["duplicate", "eval", "check"],
     )
     def test_exit_three_without_warning_or_usage(
-        self, tmp_path, monkeypatch, capsys, command, scores, s_star
+        self, tmp_path, monkeypatch, capsys, command, scores, s_star, message
     ):
         monkeypatch.chdir(tmp_path)
         Path("far.csv").write_text(f"score,label\n{scores[0]},1\n{scores[1]},0\n", encoding="utf-8")
         assert run(command + ["--input", "far.csv", f"--s-star={s_star}"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("lxcim: ") and captured.err.count("\n") == 1
-        assert "overflows at this threshold" in captured.err
+        assert captured.err == message
         assert "RuntimeWarning" not in captured.err and "usage:" not in captured.err
         assert not (tmp_path / "out.csv").exists()
 

@@ -1,21 +1,29 @@
 """The paper's claims, checked exactly against the rational oracle in ``exact``.
 
 The tied corpus puts scores on a dyadic grid, k/4 or k/8 away from the
-threshold and never on it, with whole weights from 1 to 8.  On such data
-|s - s_star| is exact and every prefix sum the library takes is an exact
-integer, so accuracy, LxCIM and AUROC round once, in their final division.
+threshold and never on it, with whole weights from 1 to 8.  The library
+sees the scores centred, ``s - s_star``, as ``ingest`` reads them.  On such
+data the centring is exact and every prefix sum the library takes is an
+exact integer, so accuracy, LxCIM and AUROC round once, in their final
+division.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lxcim import Dataset, exchange_subset, make_abs_spec, report, verify_doubling_identity
+from lxcim import Dataset, exchange_subset, make_abs_spec, rank_by_confidence, report, verify_doubling_identity
 
 import exact
+from test_model import VIEW_FIELDS, lexsort_view
 
 THRESHOLDS = (0.0, 0.5, -0.25)
+
+
+def centred(dataset, s_star):
+    return Dataset(dataset.scores - s_star, dataset.labels, dataset.weights)
 
 
 def dyadic_dataset(rng, n, s_star):
@@ -65,7 +73,7 @@ def test_oracle_worked_example(d0):
 def test_report_rounds_the_exact_values_once(tied_corpus):
     for case in tied_corpus:
         dataset = case["dataset"]
-        rep = report(dataset, make_abs_spec(case["s_star"]))
+        rep = report(centred(dataset, case["s_star"]), make_abs_spec(0.0))
         assert rep.accuracy == float(case["accuracy"])
         assert rep.lxcim == float(case["lxcim"])
         assert rep.auroc == (None if case["auroc"] is None else float(case["auroc"]))
@@ -87,8 +95,8 @@ def test_report_rounds_the_exact_values_once(tied_corpus):
     ],
     ids=["n12-float-weights", "n9", "n5"],
 )
-def test_every_exchange_leaves_the_rank_metrics_bit_identical(dataset, s_star):
-    spec = make_abs_spec(s_star)
+def test_every_exchange_leaves_the_rank_metrics_bit_identical(dataset, s_star, spec0):
+    spec, dataset = spec0, centred(dataset, s_star)
     base = report(dataset, spec)
     n = len(dataset)
     auroc_moved = False
@@ -105,7 +113,7 @@ def test_duplicate_auroc_is_lxcim_and_acc_squared_plus_twice_h(tied_corpus):
         assert case["auroc_omega"] == lx
         assert acc * acc + 2 * exact.area_left_of(roc, 1 - acc) == lx
         assert exact.on_polyline(roc, (1 - acc, acc))
-        rep = verify_doubling_identity(case["dataset"], make_abs_spec(case["s_star"]))
+        rep = verify_doubling_identity(centred(case["dataset"], case["s_star"]), make_abs_spec(0.0))
         assert rep.auroc_duplicated == float(case["auroc_omega"])
 
 
@@ -113,3 +121,36 @@ def test_accuracy_bounds_lxcim(tied_corpus):
     for case in tied_corpus:
         acc = case["accuracy"]
         assert acc * acc <= case["lxcim"] <= 2 * acc - acc * acc
+
+
+@st.composite
+def dyadic_draws(draw):
+    """A few rows of dyadic scores k/2^m about a threshold, rows at it included, whole weights up to 2^20."""
+    s_star = draw(st.sampled_from(THRESHOLDS))
+    step = 2.0 ** -draw(st.integers(0, 4))
+    n = draw(st.integers(1, 12))
+    scores = [s_star + k * step for k in draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 2**20), min_size=n, max_size=n))
+    return scores, labels, weights, s_star
+
+
+@given(dyadic_draws())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_report_and_ranking_match_the_oracle_on_drawn_data(data):
+    # a differential test: a failure shrinks to a few rows, printed as drawn
+    scores, labels, weights, s_star = data
+    dataset = Dataset(scores, labels, weights)
+    rows = exact.samples(dataset)
+    centred_data = centred(dataset, s_star)
+    rep = report(centred_data, make_abs_spec(0.0))
+    assert rep.accuracy == float(exact.accuracy(rows, s_star))
+    assert rep.lxcim == float(exact.lxcim(rows, s_star))
+    auroc = exact.auroc(rows)
+    assert rep.auroc == (None if auroc is None else float(auroc))
+    audrc = exact.audrc(rows, s_star)
+    assert abs(Fraction(rep.audrc) - audrc) <= (len(dataset) + 5) * Fraction(1, 2**53) * audrc
+    view = rank_by_confidence(centred_data, make_abs_spec(0.0))
+    expected = lexsort_view(centred_data)
+    for field in VIEW_FIELDS:
+        assert getattr(view, field).tobytes() == expected[field].tobytes(), field

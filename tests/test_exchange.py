@@ -8,16 +8,13 @@ import pytest
 from lxcim import (
     ConfusionMatrix,
     Dataset,
-    DecisionSpec,
     EmptyDatasetError,
     ExchangeMask,
     ExchangeWitness,
-    InexactExchangeError,
     InfeasiblePerturbationError,
     InvalidMaskError,
     InvarianceReport,
     LxcimError,
-    NonFiniteMapError,
     PerturbationWitness,
     accuracy,
     audrc,
@@ -35,7 +32,7 @@ from lxcim import (
     report,
 )
 
-from lxcim import exchange, model
+from lxcim import model
 from lxcim.model import _WeightOrder
 
 from conftest import random_dataset
@@ -51,9 +48,10 @@ class TestExchangeSample:
         out = exchange_subset(Dataset([-4.0], [0], [2.5]), [0], spec0)
         assert out == Dataset([4.0], [1], [2.5])
 
-    def test_threshold_sample_is_fixed_point(self):
-        spec = make_abs_spec(0.5)
-        assert exchange_subset(Dataset([0.5], [1]), [0], spec) == Dataset([0.5], [1])
+    def test_threshold_sample_is_fixed_point(self, spec0):
+        out = exchange_subset(Dataset([0.0, -0.0], [1, 0]), [0, 1], spec0)
+        assert out == Dataset([0.0, -0.0], [1, 0])
+        assert out.scores.tobytes() == np.array([0.0, -0.0]).tobytes()  # a -0.0 keeps its bits
 
     def test_involution_is_exact(self, spec0):
         rng = np.random.default_rng(0)
@@ -67,7 +65,7 @@ class TestExchangeSample:
         scores = rng.uniform(-9, 9, 100)
         d = Dataset(np.where(scores == 0.0, 1.0, scores), rng.integers(0, 2, 100))
         out = exchange_subset(d, range(len(d)), spec0)
-        assert np.array_equal(spec0.confidence_at(out.scores), spec0.confidence_at(d.scores))
+        assert np.array_equal(np.abs(out.scores), np.abs(d.scores))
         assert np.array_equal(
             (out.scores > 0) == (out.labels == 1), (d.scores > 0) == (d.labels == 1)
         )
@@ -163,7 +161,7 @@ class TestExchangeSubset:
             assert len(out) == len(d)
             assert np.array_equal(out.weights, d.weights)
             assert np.array_equal(
-                np.sort(spec0.confidence_at(out.scores)), np.sort(spec0.confidence_at(d.scores))
+                np.sort(np.abs(out.scores)), np.sort(np.abs(d.scores))
             )
 
     def test_metric_invariance_on_random_masks(self, spec0):
@@ -207,24 +205,23 @@ class TestDuplicateDataset:
             duplicate_dataset(Dataset([], []), spec0)
 
     @pytest.mark.parametrize("s_star", [0.0, 0.5])
-    def test_second_half_is_the_full_exchange(self, s_star):
-        # rows exactly at the threshold are their own exchange
-        spec = make_abs_spec(s_star)
+    def test_second_half_is_the_full_exchange(self, s_star, spec0):
+        # scores centred at s_star; rows exactly at the threshold are their own exchange
         rng = np.random.default_rng(6)
         for n in (1, 2, 9, 400):
             d = Dataset(
-                np.round(rng.uniform(s_star - 1.0, s_star + 1.0, n), 1),
+                np.round(rng.uniform(s_star - 1.0, s_star + 1.0, n), 1) - s_star,
                 rng.integers(0, 2, n),
                 rng.uniform(0.05, 2.0, n),
             )
-            mirrored = exchange_subset(d, range(n), spec)
-            doubled = duplicate_dataset(d, spec)
+            mirrored = exchange_subset(d, range(n), spec0)
+            doubled = duplicate_dataset(d, spec0)
             for name in ("scores", "labels", "weights"):
                 got = getattr(doubled, name)
                 expected = np.concatenate((getattr(d, name), getattr(mirrored, name)))
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected), name
-        assert np.any(d.scores == s_star)  # the 400-row set has rows at the threshold
+        assert np.any(d.scores == 0.0)  # the 400-row set has rows at the threshold
 
 
 class TestRankInvarianceChecker:
@@ -315,60 +312,33 @@ class TestCheckerArguments:
         assert categorical == check_categorical_lxc_invariance(f1_score, ConfusionMatrix(3, 1, 2, 4), trials=4, seed=7)
 
 
-def reference_exchange(dataset, mask, spec):
+def reference_exchange(dataset, mask):
     """Exchange by copying the arrays and building a fully validated Dataset."""
     idx = ExchangeMask(mask).indices
     if len(idx) == 0:
         return dataset
     scores = dataset.scores.copy()
     labels = dataset.labels.copy()
-    movable = idx[scores[idx] != spec.s_star]
-    scores[movable] = spec.reflect_at(dataset.scores[movable])
+    movable = idx[scores[idx] != 0.0]
+    scores[movable] = -dataset.scores[movable]
     labels[movable] = 1 - dataset.labels[movable]
     return Dataset(scores, labels, dataset.weights)
 
 
-def reference_exactness(dataset, spec):
-    """The exactness rule, one row at a time: raise InexactExchangeError at the first inexact row."""
-    a = spec.s_star
-    for row, s in enumerate(dataset.scores.tolist(), start=1):
-        m = float(spec.reflect_at(s))
-        if s == a or not math.isfinite(m):
-            continue
-        c, cm, back = float(spec.confidence_at(s)), float(spec.confidence_at(m)), float(spec.reflect_at(m))
-        if cm != c:
-            what = f"changes its confidence from {c!r} to {cm!r}"
-        elif (m >= a) if s > a else (m <= a):
-            what = "is not on the other side of the threshold"
-        elif back != s:
-            what = f"mirrors back to {back!r}"
-        else:
-            continue
-        raise InexactExchangeError(
-            f"row {row}: the exchange of score {s!r} gives {m!r}, which {what}: "
-            f"the exchange is not exact at s_star = {a!r}"
-        )
-
-
 def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
-    """The check loop with a validated ExchangeMask and Dataset on every trial.
-
-    Before its first witness it applies the exactness rule, so an inexact
-    exchange raises instead of giving a witness.
-    """
+    """The check loop with a validated ExchangeMask and Dataset on every trial."""
     baseline = float(metric(dataset))
     rng = np.random.default_rng(seed)
     max_deviation = 0.0
     witness = None
     for trial in range(trials):
         mask = ExchangeMask(np.nonzero(rng.random(len(dataset)) < 0.5)[0])
-        exchanged = reference_exchange(dataset, mask, spec)
+        exchanged = reference_exchange(dataset, mask)
         try:
             value = float(metric(exchanged))
         except LxcimError as exc:
             max_deviation = math.inf
             if witness is None:
-                reference_exactness(dataset, spec)
                 witness = ExchangeWitness(
                     trial=trial, mask=mask, value=None, error=type(exc).__name__
                 )
@@ -376,7 +346,6 @@ def reference_check(metric, dataset, spec, trials, seed, tolerance=1e-9):
         deviation = abs(value - baseline)
         max_deviation = max(max_deviation, deviation)
         if deviation > tolerance and witness is None:
-            reference_exactness(dataset, spec)
             witness = ExchangeWitness(trial=trial, mask=mask, value=value, error=None)
     return baseline, trials, tolerance, max_deviation, witness
 
@@ -397,8 +366,8 @@ def oracle_data(kind: str, n: int, seed: int):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
     weights = rng.uniform(0.05, 2.0, n) if seed % 2 else None
-    if kind == "prob":  # probabilities in tenths, some exactly at s_star = 0.5
-        return Dataset(np.round(rng.random(n), 1), labels, weights), make_abs_spec(0.5)
+    if kind == "prob":  # probabilities in tenths centred at s_star = 0.5, some exactly at it
+        return Dataset(np.round(rng.random(n), 1) - 0.5, labels, weights), make_abs_spec(0.0)
     scores = rng.normal(size=n)
     if kind == "tied":
         scores = np.round(scores, 2)
@@ -421,7 +390,7 @@ class TestCheckOracle:
     def assert_same(self, metric, dataset, spec, trials, seed):
         try:
             expected = report_bits(*reference_check(metric, dataset, spec, trials, seed))
-        except LxcimError as exc:  # the baseline itself is undefined, or the exchange is inexact
+        except LxcimError as exc:  # the baseline itself is undefined
             with pytest.raises(type(exc)) as raised:
                 check_rank_lxc_invariance(metric, dataset, spec, trials=trials, seed=seed)
             assert str(raised.value) == str(exc)
@@ -441,9 +410,6 @@ class TestCheckOracle:
         for kind in ("at-threshold", "prob"):
             dataset, spec = oracle_data(kind, 2000, 7)
             assert np.any(dataset.scores == spec.s_star)
-        # the mirror about 0.5 rounds on tenths, so the oracle also compares the rule's error
-        with pytest.raises(InexactExchangeError):
-            reference_exactness(*oracle_data("prob", 2000, 7))
         assert np.all(oracle_data("tied", 50, 0)[0].weights == 1.0)
         assert len(np.unique(oracle_data("tied", 50, 1)[0].weights)) == 50
 
@@ -480,67 +446,22 @@ class TestCheckOracle:
         assert rep.witness.error == "SingleClassError"
 
 
-TWO_ROWS = Dataset([0.04, 0.96], [1, 1])  # at s_star = 0.5 the mirror of 0.04 rounds to 0.96
-ROW_1_CONFIDENCE = (
-    "^row 1: the exchange of score 0.04 gives 0.96, which changes its confidence from 0.46 to "
-    "0.45999999999999996: the exchange is not exact at s_star = 0.5$"
-)
+TWO_ROWS = Dataset([0.04 - 0.5, 0.96 - 0.5], [1, 1])  # two probabilities centred at 0.5
 
 
-class TestExactnessRule:
-    """A check that would record a witness on data whose exchange is not exact raises instead."""
+class TestCentredExchange:
+    """Probabilities centred once are exchanged exactly: a check reaches its verdict with no deviation."""
 
-    @pytest.mark.parametrize("metric", ["lxcim", "audrc"])
-    def test_two_rows_at_one_half(self, metric):
-        spec = make_abs_spec(0.5)
-        with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
-            check_rank_lxc_invariance(ORACLE_METRICS[metric](spec), TWO_ROWS, spec, trials=20)
-
-    def test_transforms_apply_the_spec_as_given(self):
-        # the exchange of row 1 ties it with row 2; no rule runs in a transform
-        spec = make_abs_spec(0.5)
-        assert exchange_subset(TWO_ROWS, [0], spec) == Dataset([0.96, 0.96], [0, 1])
-        assert duplicate_dataset(TWO_ROWS, spec).scores.tolist() == [0.04, 0.96, 0.96, 0.5 - (0.96 - 0.5)]
-        assert lxcim(TWO_ROWS, spec) == 0.25 and lxcim(exchange_subset(TWO_ROWS, [0], spec), spec) == 0.5
-
-    def test_passing_check_is_unchanged_on_inexact_data(self):
-        spec = make_abs_spec(0.5)
-        rep = check_rank_lxc_invariance(partial(accuracy, spec=spec), TWO_ROWS, spec, trials=20)
+    @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy"])
+    def test_two_rows_at_one_half(self, metric, spec0):
+        # the mirror 0.5 - (0.04 - 0.5) rounds to 0.96; the negation of -0.46 does not round
+        rep = check_rank_lxc_invariance(ORACLE_METRICS[metric](spec0), TWO_ROWS, spec0, trials=20)
         assert rep.passed and rep.max_deviation == 0.0
 
-    @pytest.mark.parametrize(
-        "reflect, message",
-        [
-            # keeps |s| but not the side of the threshold
-            (lambda s: s + 0.0, "^row 1: the exchange of score -1.0 gives -1.0, which is not on the other side"),
-            # exact on row 1; triples the confidence of -1.5
-            (lambda s: np.where(np.abs(s) == 1.5, -2.0 * s, -s),
-             "^row 2: the exchange of score -1.5 gives 3.0, which changes its confidence from 1.0 to 3.0: "),
-            # keeps floor(|s|) and the side, but mirrors -1.0 back to -1.5
-            (lambda s: -s - 0.25 * np.sign(s),
-             "^row 1: the exchange of score -1.0 gives 1.25, which mirrors back to -1.5: "),
-        ],
-        ids=["side", "confidence", "involution"],
-    )
-    def test_message_names_the_first_failing_property(self, reflect, message):
-        spec = DecisionSpec(0.0, lambda s: np.floor(np.abs(s)), reflect)
-        d = Dataset([-1.0, -1.5, 0.0, 2.0], [1, 0, 1, 1])
-        with pytest.raises(InexactExchangeError, match=message):
-            check_rank_lxc_invariance(lambda x: float(np.sum(x.labels)), d, spec, trials=20)
-
-    def test_rows_at_the_threshold_and_unreflectable_rows_are_not_judged(self):
-        # the reflection sends s* to 3.0 and 6.0 to inf; the other rows are exact
-        spec = DecisionSpec(0.0, np.abs, lambda s: np.where(s == 0.0, 3.0, np.where(s > 5.0, np.inf, -s)))
-        d = Dataset([0.0, 6.0, 1.0, -2.0], [1, 0, 0, 1])
-        assert exchange._require_exact(d, spec, *exchange._mirror(d, spec)[:2]) is None
-        rep = check_rank_lxc_invariance(auroc, Dataset([0.0, 1.0, -2.0], [1, 0, 1]), spec, trials=20, seed=0)
-        assert not rep.passed
-
-    def test_a_map_that_overflows_gives_no_warning(self):
-        # the mirror of 1.0 is finite, and reflecting it back overflows
-        spec = DecisionSpec(0.0, np.abs, lambda s: np.where(s == 1.0, -1e308, -1e10 * s))
-        with pytest.raises(InexactExchangeError, match="^row 1: .* gives -1e\\+308, which changes its confidence"):
-            check_rank_lxc_invariance(lambda x: float(x.labels[0]), Dataset([1.0, -2.0], [1, 0]), spec, trials=20)
+    def test_exchange_keeps_the_confidences_apart(self, spec0):
+        assert TWO_ROWS.scores.tolist() == [-0.46, 0.45999999999999996]
+        assert exchange_subset(TWO_ROWS, [0], spec0) == Dataset([0.46, 0.45999999999999996], [0, 1])
+        assert lxcim(TWO_ROWS, spec0) == lxcim(exchange_subset(TWO_ROWS, [0], spec0), spec0) == 0.25
 
 
 class TestCheckTrialCost:
@@ -624,7 +545,7 @@ class TestSharedWeightOrder:
             assert len(seen) == 7 and all(type(x) is Dataset for x in seen)
             rng = np.random.default_rng(4)
             masks = [np.flatnonzero(rng.random(len(d)) < 0.5) for _ in range(6)]
-            for got, want in zip(seen, [d] + [reference_exchange(d, mask, spec0) for mask in masks]):
+            for got, want in zip(seen, [d] + [reference_exchange(d, mask) for mask in masks]):
                 assert got == want and got.labels.dtype == np.int64 and got.weights is d.weights
             # one order for the whole check, over the caller's own weights array
             (shared,) = {x._weight_order for x in seen}
@@ -648,68 +569,17 @@ def rank_bits(dataset, spec):
     return tuple(arr.tobytes() for arr in vars(view).values())
 
 
-def overflowing_spec():
-    """abs/mirror at 0, except that the reflection of a score above 5, or of
-    s_star itself, overflows to inf."""
-    return DecisionSpec(
-        s_star=0.0,
-        confidence=np.abs,
-        reflect=lambda s: np.where((s > 5.0) | (s == 0.0), np.inf, -s),
-    )
-
-
 class TestExchangeResults:
     """Exchanged datasets skip re-validation but keep their guarantees."""
 
-    def test_overflowing_reflection_rejected(self):
-        spec = overflowing_spec()
-        d = Dataset([1.0, 6.0, -2.0, 0.0], [1, 0, 1, 1])
-        with pytest.raises(ValueError, match="^scores must all be finite$"):
-            exchange_subset(d, [1], spec)
-        with pytest.raises(ValueError, match="^scores must all be finite$"):
-            duplicate_dataset(d, spec)
-        with pytest.raises(ValueError, match="^scores must all be finite$"):
-            check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=50, seed=0)
-        # rows at the threshold are not reflected, and the other rows are fine
-        assert exchange_subset(d, [0, 2, 3], spec) == Dataset([-1.0, 6.0, 2.0, 0.0], [0, 0, 0, 1])
-        assert duplicate_dataset(Dataset([0.0, 1.0], [1, 0]), spec) == Dataset(
-            [0.0, 1.0, 0.0, -1.0], [1, 0, 1, 1]
-        )
-
-    def test_overflowing_reflection_is_typed(self):
-        spec = overflowing_spec()
-        d = Dataset([1.0, 6.0, -2.0, 0.0], [1, 0, 1, 1])
-        for call in (
-            lambda: exchange_subset(d, [1], spec),
-            lambda: duplicate_dataset(d, spec),
-            lambda: check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=50),
-        ):
-            with pytest.raises(NonFiniteMapError) as err:
-                call()
-            assert isinstance(err.value, LxcimError) and isinstance(err.value, ValueError)
-
-    def test_overflowing_spec_map_raises_its_typed_error_without_a_warning(self):
-        # the mirror of -1e308 about 1e308, and its confidence, overflow; warnings are errors here
-        d, spec = Dataset([-1e308, 1.0], [1, 0]), make_abs_spec(1e308)
-        for call in (
-            lambda: duplicate_dataset(d, spec),
-            lambda: exchange_subset(d, [0], spec),
-            lambda: rank_by_confidence(d, spec),
-            lambda: report(d, spec),
-        ):
-            with pytest.raises(NonFiniteMapError):
-                call()
-
-    def test_confidence_failing_on_exchanged_scores_is_raised_not_a_witness(self):
-        # finite on the original scores, NaN on their reflections
-        spec = DecisionSpec(
-            s_star=0.0,
-            confidence=lambda s: np.where(s < -5.0, np.nan, np.abs(s)),
-            reflect=lambda s: -s,
-        )
-        d = Dataset([6.0, 1.0, -2.0], [1, 0, 1])
-        with pytest.raises(NonFiniteMapError, match="non-finite"):
-            check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=20, seed=0)
+    @pytest.mark.filterwarnings("error")
+    def test_largest_scores_exchange_exactly(self, spec0):
+        # negation cannot overflow: the largest floats and the subnormals exchange with no warning
+        big, tiny = np.finfo(float).max, 5e-324
+        d = Dataset([big, -big, tiny, -tiny, 0.0], [1, 0, 0, 1, 1])
+        assert exchange_subset(d, range(5), spec0) == Dataset([-big, big, -tiny, tiny, 0.0], [0, 1, 1, 0, 1])
+        assert duplicate_dataset(d, spec0).scores.tolist() == [big, -big, tiny, -tiny, 0.0, -big, big, -tiny, tiny, 0.0]
+        assert check_rank_lxc_invariance(partial(accuracy, spec=spec0), d, spec0, trials=20).max_deviation == 0.0
 
     def assert_sealed(self, d):
         for name, dtype in (("scores", np.float64), ("labels", np.int64), ("weights", np.float64)):

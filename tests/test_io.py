@@ -29,6 +29,7 @@ from lxcim import (
     duplicate_dataset,
     ingest,
     make_abs_spec,
+    rank_by_confidence,
     roc_curve,
     write_curve_csv,
     write_prediction_file,
@@ -36,6 +37,7 @@ from lxcim import (
 from lxcim.verify import GeneratorConfig, GeneratorKind, WeightMode, generate
 from lxcim.io import (
     PredictionColumns,
+    _centred,
     _NotUtf8,
     _utf8_lines,
     build_dataset,
@@ -78,10 +80,11 @@ class TestCsvIngest:
         assert dataset.weights.tolist() == [1.0, 2.0]
 
     def test_s_star_is_threaded_through(self, tmp_path):
+        # the scores are centred once, and the spec stays at 0
         path = write(tmp_path / "p.csv", "score,label\n0.9,1\n0.2,0\n")
-        _, spec = ingest(path, s_star=0.5)
-        assert spec.s_star == 0.5
-        assert spec.confidence_at(0.9) == pytest.approx(0.4)
+        dataset, spec = ingest(path, s_star=0.5)
+        assert spec.s_star == 0.0
+        assert dataset == Dataset([0.9 - 0.5, 0.2 - 0.5], [1, 0])
 
     def test_parse_error_reports_row(self, tmp_path):
         path = write(tmp_path / "p.csv", "score,label\nabc,XtoY\n-4,YtoX\n")
@@ -650,6 +653,72 @@ class TestBuildDataset:
             ingest(path, "csv", positive)
         dataset, _, negative = build_dataset(read_prediction_rows(path), "1")
         assert dataset.labels.tolist() == [int(only)] * 2 and negative == (None if only == "1" else "0")
+
+
+def raw_ranking(scores, labels, weights, s_star):
+    """The ranking of rows judged against ``s_star`` as they were read: confidence
+    ``abs(s - s_star)``, class ``s > s_star``, and the canonical tie suborder of
+    ``RankedView`` (wrong first, then light first, then side, then position)."""
+    conf = np.abs(scores - s_star)
+    predicted = scores > s_star
+    correct = predicted == labels.astype(bool)
+    order = np.lexsort((predicted, weights, correct, -conf))
+    weight = weights[order]
+    return order, correct[order], weight.cumsum(), (weight * correct[order]).cumsum()
+
+
+def centring_scores(kind, s_star, rng, n=400):
+    if kind == "probabilities":
+        scores = np.round(rng.random(n), 2)
+    elif kind == "below-1e-17":
+        scores = np.round(rng.random(n), 2) * np.where(rng.random(n) < 0.3, 1e-17, 1.0)
+    elif kind == "subnormal":
+        scores = rng.integers(-40, 40, n) * 5e-324
+    elif kind == "wide":
+        scores = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, n)
+    else:  # a few ulps either side of the threshold
+        scores = s_star + rng.integers(-6, 7, n) * np.spacing(s_star)
+    scores[rng.random(n) < 0.05] = s_star
+    return scores
+
+
+class TestCentring:
+    """Scores read against a threshold a are centred once, t = s - a, with the class and confidence of s."""
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0, np.float64(0.0)], ids=repr)
+    def test_zero_threshold_returns_the_dataset_itself(self, zero):
+        d = Dataset([0.5, -0.0, 2.0], [1, 0, 0])
+        assert _centred(d, zero) is d
+
+    @pytest.mark.parametrize("kind", ["probabilities", "below-1e-17", "subnormal", "wide", "ulps"])
+    @pytest.mark.parametrize("s_star", [0.5, 0.3, -0.25, 3.0, 1e-300, 5e-324, -1e300])
+    def test_ranking_is_that_of_the_scores_as_read(self, s_star, kind, spec0):
+        # s - a is 0 only where s == a, and rounds monotonically: the same classes, ties and order
+        rng = np.random.default_rng(list(f"{s_star!r} {kind}".encode()))
+        scores = centring_scores(kind, s_star, rng)
+        labels, weights = rng.integers(0, 2, len(scores)), rng.choice([0.5, 1.0, 2.0], len(scores))
+        d = _centred(Dataset(scores, labels, weights), s_star)
+        assert np.array_equal(d.scores == 0.0, scores == s_star)
+        assert np.array_equal(d.scores > 0.0, scores > s_star)
+        view = rank_by_confidence(d, spec0)
+        expected = raw_ranking(scores, labels, weights, s_star)
+        for got, want in zip((view.order, view.correct, view.cum_weight, view.cum_correct_weight), expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s_star, row", [(-1e308, 2), (1e308, 1)])
+    def test_overflowing_shift_names_the_row(self, tmp_path, s_star, row):
+        path = write(tmp_path / "far.csv", "score,label\n-1e308,1\n1e308,0\n")
+        score = "-1e+308" if row == 1 else "1e+308"
+        message = f"{path}: row {row}: score {score} minus s_star {s_star!r} is not finite"
+        with pytest.raises(NonFiniteValueError, match=f"^{re.escape(message)}$") as raised:
+            ingest(path, s_star=s_star)
+        assert raised.value.row == row
+
+    @pytest.mark.parametrize("bad", [True, "0.5", float("nan"), float("inf")], ids=repr)
+    def test_threshold_must_be_a_finite_number(self, tmp_path, bad):
+        path = write(tmp_path / "p.csv", "score,label\n0.9,1\n0.2,0\n")
+        with pytest.raises(ValueError, match="must be a finite number"):
+            ingest(path, s_star=bad)
 
 
 def reference_prediction_file(path, dataset, fmt, positive_label="1", negative_label="0"):

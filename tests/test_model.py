@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from lxcim import (
     Dataset,
     EmptyDatasetError,
-    NonFiniteMapError,
     make_abs_spec,
     predict,
     rank_by_confidence,
@@ -103,15 +101,15 @@ class TestPredict:
     def test_below_threshold_is_negative(self, spec0):
         assert predict(-7.0, spec0) == 0
 
-    def test_at_threshold_is_negative(self):
-        assert predict(0.5, make_abs_spec(0.5)) == 0
+    def test_at_threshold_is_negative(self, spec0):
+        assert predict(0.0, spec0) == 0 and predict(-0.0, spec0) == 0
 
     def test_vectorized(self, spec0):
         assert predict(np.array([-1.0, 0.0, 3.0]), spec0).tolist() == [0, 0, 1]
 
     def test_reflection_flips_prediction(self, spec0):
         for s in (-3.0, -0.25, 0.125, 9.0):
-            assert predict(spec0.reflect_at(s), spec0) == 1 - predict(s, spec0)
+            assert predict(-s, spec0) == 1 - predict(s, spec0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, spec0, bad):
@@ -132,34 +130,6 @@ class TestPredict:
 
 
 class TestAbsSpec:
-    def test_confidence_is_distance(self):
-        assert make_abs_spec(0.0).confidence_at(-4.0) == 4.0
-
-    def test_reflect_mirrors_about_threshold(self):
-        assert make_abs_spec(0.0).reflect_at(1.0) == -1.0
-        assert make_abs_spec(0.5).reflect_at(0.9) == pytest.approx(0.1)
-
-    def test_exact_symmetry_at_zero_threshold(self):
-        spec = make_abs_spec(0.0)
-        rng = np.random.default_rng(1)
-        scores = np.concatenate([rng.uniform(-1e6, 1e6, 500), rng.uniform(-1e-6, 1e-6, 500)])
-        reflected = spec.reflect_at(scores)
-        assert np.array_equal(spec.confidence_at(reflected), spec.confidence_at(scores))
-        assert np.array_equal(spec.reflect_at(reflected), scores)
-
-    def test_exact_symmetry_for_probability_scores(self):
-        spec = make_abs_spec(0.5)
-        scores = np.random.default_rng(2).uniform(0.0, 1.0, 1000)
-        reflected = spec.reflect_at(scores)
-        assert np.array_equal(spec.confidence_at(reflected), spec.confidence_at(scores))
-
-    @pytest.mark.parametrize("scores", [1.5, -2, [], [0.25, -4.0], [[1.0], [-1.0]]])
-    def test_maps_return_float64_of_the_input_shape(self, scores):
-        spec = make_abs_spec(0.5)
-        for out in (spec.confidence_at(scores), spec.reflect_at(scores)):
-            assert isinstance(out, np.ndarray)
-            assert out.dtype == np.float64 and out.shape == np.shape(scores)
-
     def test_rejects_non_finite_threshold(self):
         with pytest.raises(ValueError):
             make_abs_spec(float("nan"))
@@ -170,7 +140,7 @@ class TestAbsSpec:
         with pytest.raises(ValueError, match="not a boolean"):
             make_abs_spec(flag)
         with pytest.raises(ValueError, match="not a boolean"):
-            DecisionSpec(s_star=flag, confidence=np.abs, reflect=np.negative)
+            DecisionSpec(s_star=flag)
 
     @pytest.mark.parametrize("text", ["0.5", "1e0", b"1", np.str_("0")], ids=repr)
     def test_rejects_text_threshold(self, text):
@@ -178,12 +148,21 @@ class TestAbsSpec:
         with pytest.raises(ValueError, match="must be a finite number"):
             make_abs_spec(text)
         with pytest.raises(ValueError, match="must be a finite number"):
-            DecisionSpec(text, np.abs, np.negative)
+            DecisionSpec(text)
 
-    @pytest.mark.parametrize("given", [1, np.float32(0.5), np.int64(-2)], ids=repr)
-    def test_numeric_thresholds_become_float(self, given):
-        for spec in (make_abs_spec(given), DecisionSpec(given, np.abs, np.negative)):
-            assert type(spec.s_star) is float and spec.s_star == float(given)
+    @pytest.mark.parametrize("given", [0, np.float32(0.0), np.int64(0), -0.0], ids=repr)
+    def test_zero_thresholds_become_float(self, given):
+        for spec in (make_abs_spec(given), DecisionSpec(given)):
+            assert type(spec.s_star) is float and repr(spec.s_star) == "0.0"
+        assert make_abs_spec(given) == make_abs_spec() == DecisionSpec(0.0)
+
+    @pytest.mark.parametrize("given", [1, np.float32(0.5), np.int64(-2), 5e-324], ids=repr)
+    def test_other_thresholds_name_both_ways_to_centre(self, given):
+        # the library decides at 0 only; scores are centred once, where they are read
+        for make in (make_abs_spec, DecisionSpec):
+            with pytest.raises(ValueError, match=r"^s_star must be 0, got .*: centre the scores once instead, "
+                               r"with ingest\(\.\.\., s_star=.*\) or Dataset\(scores - .*, \.\.\.\)$"):
+                make(given)
 
 
 class TestRankByConfidence:
@@ -207,40 +186,6 @@ class TestRankByConfidence:
         with pytest.raises(EmptyDatasetError):
             rank_by_confidence(Dataset([], []), spec0)
 
-    def test_non_finite_confidence_rejected(self, d0):
-        spec = DecisionSpec(
-            s_star=0.0, confidence=lambda s: np.full_like(s, np.nan), reflect=lambda s: -s
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            rank_by_confidence(d0, spec)
-
-    def test_overflowing_confidence_is_typed(self):
-        # |1e308 - (-1e308)| overflows: a data error, not a usage error, and no numpy warning
-        spec = make_abs_spec(-1e308)
-        with pytest.raises(NonFiniteMapError, match="non-finite"):
-            rank_by_confidence(Dataset([1e308, -2.0], [1, 0]), spec)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("at", [0, 2, 3])
-    def test_one_non_finite_confidence_rejected(self, d0, bad, at):
-        # one bad value among finite ones, wherever the descending sort puts it
-        def confidence(s):
-            out = np.abs(s)
-            out[at] = bad
-            return out
-
-        spec = DecisionSpec(s_star=0.0, confidence=confidence, reflect=lambda s: -s)
-        with pytest.raises(ValueError, match="non-finite"):
-            rank_by_confidence(d0, spec)
-
-    def test_scalar_only_map_rejected(self, d0):
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: math.fabs(s), reflect=lambda s: -s)
-        with pytest.raises(TypeError):
-            rank_by_confidence(d0, spec)
-        spec = DecisionSpec(s_star=0.0, confidence=lambda s: math.nan, reflect=lambda s: -s)
-        with pytest.raises(ValueError, match="vectorized"):
-            rank_by_confidence(d0, spec)
-
     def test_canonical_under_input_permutation(self, spec0):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -261,7 +206,7 @@ class TestRankByConfidence:
         assert np.all(np.diff(view.cum_weight) > 0)
 
 
-_VIEW_FIELDS = (
+VIEW_FIELDS = (
     "order",
     "correct",
     "weight",
@@ -271,14 +216,14 @@ _VIEW_FIELDS = (
 )
 
 
-def lexsort_view(dataset, spec):
+def lexsort_view(dataset):
     """Reference ranking: one 5-key lexsort over every sample.
 
     Descending confidence, then wrong before right, light before heavy, low
     score before high, label 0 before 1, and dataset position last.
     """
-    conf = spec.confidence_at(dataset.scores)
-    correct = (dataset.scores > spec.s_star) == dataset.labels.astype(bool)
+    conf = np.abs(dataset.scores)
+    correct = (dataset.scores > 0.0) == dataset.labels.astype(bool)
     order = np.lexsort((dataset.labels, dataset.scores, dataset.weights, correct, -conf))
     conf_r = conf[order]
     weight = dataset.weights[order]
@@ -327,8 +272,8 @@ class TestRankingOracle:
 
     def assert_matches(self, dataset, spec):
         view = rank_by_confidence(dataset, spec)
-        expected = lexsort_view(dataset, spec)
-        for field in _VIEW_FIELDS:
+        expected = lexsort_view(dataset)
+        for field in VIEW_FIELDS:
             got = getattr(view, field)
             assert got.dtype == expected[field].dtype, field
             assert got.tobytes() == expected[field].tobytes(), field
@@ -339,23 +284,18 @@ class TestRankingOracle:
         for seed in range(3):
             self.assert_matches(_oracle_dataset(kind, n, seed), spec0)
 
-    def test_matches_lexsort_with_signed_zero_confidence(self):
-        # a map that breaks the contract by being zero on [-1, 1] puts -0.0
-        # and 0.0 in one tie group, with one score on each side
-        spec = DecisionSpec(
-            s_star=0.0,
-            confidence=lambda s: np.where(np.abs(s) <= 1.0, np.copysign(0.0, s), np.abs(s)),
-            reflect=lambda s: -s,
-        )
-        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
-            scores = np.array([-3.0, -1.0, 1.0, 2.0])[perm]
-            self.assert_matches(Dataset(scores, (scores > 0).astype(int)), spec)
+    def test_matches_lexsort_with_signed_zero_scores(self, spec0):
+        # -0.0 and 0.0 sit at the threshold, in one tie group, and keep their bits
+        for perm in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 3, 1]):
+            scores = np.array([-3.0, -0.0, 0.0, -0.0, 2.0])[perm]
+            self.assert_matches(Dataset(scores, np.arange(5) % 2), spec0)
 
-    def test_matches_lexsort_at_probability_threshold(self):
+    def test_matches_lexsort_at_probability_threshold(self, spec0):
+        # probabilities centred at 0.5, as ingest(..., s_star=0.5) reads them
         rng = np.random.default_rng(11)
         p = np.round(rng.uniform(0.0, 1.0, 2000), 2)
-        d = Dataset(p, rng.integers(0, 2, 2000), rng.choice([0.25, 1.0, 4.0], 2000))
-        self.assert_matches(d, make_abs_spec(0.5))
+        d = Dataset(p - 0.5, rng.integers(0, 2, 2000), rng.choice([0.25, 1.0, 4.0], 2000))
+        self.assert_matches(d, spec0)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
     @pytest.mark.parametrize("decimals,n", [(4, 20_000), (6, 150_000)], ids=["256+groups", "65536+groups"])

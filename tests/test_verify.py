@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import threading
 from functools import partial
 from pathlib import Path
@@ -9,11 +8,8 @@ import pytest
 
 from lxcim import (
     Dataset,
-    DecisionSpec,
     EmptyDatasetError,
-    InexactExchangeError,
     LxcimError,
-    NonFiniteMapError,
     GeneratorConfig,
     GeneratorKind,
     SingleClassError,
@@ -35,7 +31,6 @@ from lxcim import (
 )
 
 from lxcim.cli import main
-from lxcim.exchange import _full_exchange, _require_exact
 from lxcim.io import write_prediction_file
 import lxcim.metrics as metrics
 from lxcim.metrics import _accuracy_rate_curve, _cumulative_accuracy_curve
@@ -170,108 +165,35 @@ class TestCrossingPoint:
         assert rep == verify_crossing_point(Dataset(d.scores, d.labels, np.ldexp(d.weights, 540)), spec0)
 
 
-ROW_1_CONFIDENCE = (
-    "^row 1: the exchange of score 0.04 gives 0.96, which changes its confidence from 0.46 to "
-    "0.45999999999999996: the exchange is not exact at s_star = 0.5$"
-)
+class TestCentredVerdicts:
+    """Scores centred once reach every verdict exactly; a failing verdict on exact data stands."""
 
-
-class TestInexactExchange:
-    """A verifier whose report would fail on data whose exchange is not exact raises instead."""
-
-    def test_two_rows_at_one_half(self):
-        # the duplicate merges 0.04's mirror into 0.96's tie group: a false deviation of 0.125
-        spec = make_abs_spec(0.5)
-        d = Dataset([0.04, 0.96], [1, 1])
-        with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
-            verify_doubling_identity(d, spec)
-        # the crossing still lands where it should: a passing report is given as it is
-        assert verify_crossing_point(d, spec) == CrossingReport((0.5, 0.5), (0.5, 0.5), 0.0, 1e-9)
-
-    def test_both_verifiers_name_the_row(self):
-        d = Dataset([0.04, 0.5, 0.96], [1, 1, 1])
-        for verifier in (verify_doubling_identity, verify_crossing_point):
-            with pytest.raises(InexactExchangeError, match=ROW_1_CONFIDENCE):
-                verifier(d, make_abs_spec(0.5))
+    def test_two_rows_at_one_half(self, spec0):
+        # centred, the duplicate keeps 0.04's and 0.96's confidences apart: no false deviation
+        d = Dataset([0.04 - 0.5, 0.96 - 0.5], [1, 1])
+        assert verify_doubling_identity(d, spec0).doubling_deviation == 0.0
+        assert verify_crossing_point(d, spec0) == CrossingReport((0.5, 0.5), (0.5, 0.5), 0.0, 1e-9)
 
     def test_exact_failure_keeps_its_report(self, spec0):
-        # a row at the threshold keeps its class and unbalances the duplicate (ROADMAP item 11);
-        # the exchange about 0 is exact, so the failing reports stand
+        # a row at the threshold keeps its class and unbalances the duplicate (ROADMAP item 11)
         d = Dataset([0.0, 1.0, -2.0], [1, 1, 0])
         assert verify_doubling_identity(d, spec0).doubling_deviation == 1.0 - 8.0 / 9.0
         assert verify_crossing_point(d, spec0).found == (0.0, 1.0)
 
-    # Broken reflections at s_star = 0, each judged by the check and both
-    # verifiers on one dataset.  A verdict that fails names the first row and
-    # the property it breaks; a verdict that passes is given as it is, since
-    # the rule judges only verdicts that do not pass.
     SIX = Dataset([-2.0, -1.0, 1.0, 2.0, 3.0, -3.0], [1, 0, 1, 0, 1, 0])
-    BROKEN = {
-        "identity": DecisionSpec(0.0, np.abs, lambda s: s + 0.0),
-        "asymmetric": DecisionSpec(0.0, lambda s: np.where(s > 0, 2 * s, -s), np.negative),
-        # keeps floor(|s|) and the side, so no exchange moves a rank
-        "non-involution": DecisionSpec(0.0, lambda s: np.floor(np.abs(s)), lambda s: -s - 0.5 * np.sign(s)),
-        "doubling": DecisionSpec(0.0, np.abs, lambda s: -2.0 * s),
-        "onto-threshold": DecisionSpec(0.0, np.abs, lambda s: np.where(s == 2.0, 0.0, -s)),
-    }
-    VERDICTS = {
-        "check": lambda d, spec: check_rank_lxc_invariance(partial(lxcim, spec=spec), d, spec, trials=20, seed=0),
-        "doubling": verify_doubling_identity,
-        "crossing": verify_crossing_point,
-    }
-    SIDE = "^row 1: the exchange of score -2.0 gives -2.0, which is not on the other side of the threshold: "
-    CONFIDENCE = "^row 1: the exchange of score -2.0 gives {}, which changes its confidence from 2.0 to 4.0: "
-    BACK = "^row 1: the exchange of score -2.0 gives 2.0, which mirrors back to 0.0: "
-
-    @pytest.mark.parametrize(
-        "broken, verdict, message",
-        [
-            ("identity", "check", SIDE),
-            ("identity", "doubling", SIDE),
-            ("identity", "crossing", SIDE),
-            ("asymmetric", "check", CONFIDENCE.format("2.0")),
-            ("asymmetric", "doubling", CONFIDENCE.format("2.0")),
-            ("asymmetric", "crossing", None),
-            ("non-involution", "check", None),
-            ("non-involution", "doubling", None),
-            ("non-involution", "crossing", None),
-            ("doubling", "check", CONFIDENCE.format("4.0")),
-            ("doubling", "doubling", CONFIDENCE.format("4.0")),
-            ("doubling", "crossing", None),
-            ("onto-threshold", "check", BACK),
-            ("onto-threshold", "doubling", BACK),
-            ("onto-threshold", "crossing", None),
-        ],
-    )
-    def test_broken_reflection_at_each_verdict(self, broken, verdict, message):
-        spec, judge = self.BROKEN[broken], self.VERDICTS[verdict]
-        with pytest.raises(InexactExchangeError) as raised:
-            _require_exact(self.SIX, spec, *_full_exchange(self.SIX, spec))
-        if message is None:
-            assert judge(self.SIX, spec).passed
-        else:
-            assert re.match(message, str(raised.value))
-            with pytest.raises(InexactExchangeError, match=message):
-                judge(self.SIX, spec)
-
     DYADIC = Dataset([0.25, 0.75, 0.125, 0.875, 0.625, 0.375], [1, 0, 1, 1, 0, 0])
+    AT_MINUS_3 = Dataset([-5.0, -1.0, 0.0, -4.0, -7.0, 2.0], [1, 0, 1, 0, 1, 0])
 
     @pytest.mark.parametrize(
-        "spec, d",
-        [
-            (make_abs_spec(0.0), SIX),
-            (DecisionSpec(0.0, np.square, np.negative), SIX),
-            (make_abs_spec(0.5), DYADIC),
-            (DecisionSpec(0.5, lambda s: np.abs(s - 0.5), lambda s: 1.0 - s), DYADIC),
-            (make_abs_spec(-3.0), Dataset([-5.0, -1.0, 0.0, -4.0, -7.0, 2.0], [1, 0, 1, 0, 1, 0])),
-        ],
-        ids=["abs-at-0", "square-at-0", "abs-at-half", "one-minus-at-half", "abs-at-minus-3"],
+        "d, s_star",
+        [(SIX, 0.0), (DYADIC, 0.5), (AT_MINUS_3, -3.0)],
+        ids=["abs-at-0", "abs-at-half", "abs-at-minus-3"],
     )
-    def test_exact_reflection_passes_every_verdict(self, spec, d):
-        assert _require_exact(d, spec, *_full_exchange(d, spec)) is None
-        assert self.VERDICTS["check"](d, spec).max_deviation == 0.0
-        assert self.VERDICTS["doubling"](d, spec).doubling_deviation == 0.0
-        assert self.VERDICTS["crossing"](d, spec).passed
+    def test_exact_reflection_passes_every_verdict(self, d, s_star, spec0):
+        d = Dataset(d.scores - s_star, d.labels, d.weights)
+        assert check_rank_lxc_invariance(partial(lxcim, spec=spec0), d, spec0, trials=20, seed=0).max_deviation == 0.0
+        assert verify_doubling_identity(d, spec0).doubling_deviation == 0.0
+        assert verify_crossing_point(d, spec0).passed
 
 
 class TestGenerate:
@@ -564,15 +486,14 @@ class TestVerifierReference:
         for d in tied_weighted_corpus(71, 80):
             assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
 
-    def test_probabilities_about_one_half(self, monkeypatch, verify_path):
-        spec = make_abs_spec(0.5)
+    def test_probabilities_about_one_half(self, monkeypatch, verify_path, spec0):
         rng = np.random.default_rng(72)
         for k in range(40):
             n = int(rng.integers(1, 300))
             p = np.round(rng.random(n), 1 + k % 3)
             p[rng.random(n) < 0.1] = 0.5
-            d = Dataset(p, rng.integers(0, 2, n), rng.uniform(0.05, 8.0, n))
-            assert verifier_fields(d, spec) == reference_fields(monkeypatch, d, spec)
+            d = Dataset(p - 0.5, rng.integers(0, 2, n), rng.uniform(0.05, 8.0, n))
+            assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
 
     def test_signed_zeros_and_one_class(self, monkeypatch, verify_path, spec0):
         for d in (
@@ -582,11 +503,10 @@ class TestVerifierReference:
         ):
             assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
 
-    def test_rows_at_the_threshold_keep_their_score(self, monkeypatch, verify_path):
-        # the reflection sends s* elsewhere; the duplicate keeps such rows as they are all the same
-        spec = DecisionSpec(0.5, lambda s: np.abs(s - 0.5), lambda s: np.where(s == 0.5, 0.75, 1.0 - s))
-        d = Dataset([0.5, 0.9, 0.5, 0.2, 0.75], [1, 0, 0, 1, 1], [2.0, 1.0, 0.5, 1.5, 1.0])
-        assert verifier_fields(d, spec) == reference_fields(monkeypatch, d, spec)
+    def test_rows_at_the_threshold_keep_their_score(self, monkeypatch, verify_path, spec0):
+        # the duplicate keeps rows at 0, a -0.0 included, as they are
+        d = Dataset([0.0, 0.4, -0.0, -0.3, 0.25], [1, 0, 0, 1, 1], [2.0, 1.0, 0.5, 1.5, 1.0])
+        assert verifier_fields(d, spec0) == reference_fields(monkeypatch, d, spec0)
 
     def test_above_the_helper_size_by_default(self, monkeypatch, spec0):
         monkeypatch.setattr(metrics, "_two_cpus", lambda: True)
@@ -668,61 +588,37 @@ class TestReportReference:
             assert got[0][0] == 0 and len(got[0][1]) in (4, 6)  # no ROC files for one class
 
 
-def _no_nan(s):
-    return np.where(s > 10.0, np.inf, -s)
-
-
 class TestHelperThread:
-    def test_user_maps_run_on_the_calling_thread(self, monkeypatch, verify_path):
-        seen, sweeps = set(), set()
+    def test_report_raises_the_ranking_error_after_the_join(self, monkeypatch, verify_path, spec0):
+        class RankError(Exception):
+            pass
 
-        def confidence(s):
-            seen.add(threading.get_ident())
-            return np.abs(s)
+        def failing_rank(*args):
+            raise RankError
 
-        def reflect(s):
-            seen.add(threading.get_ident())
-            return -s
-
-        sweep = metrics._sweep
-
-        def recording_sweep(*args):
-            sweeps.add(threading.get_ident())
-            return sweep(*args)
-
-        monkeypatch.setattr(metrics, "_sweep", recording_sweep)
-        spec = DecisionSpec(0.0, confidence, reflect)
-        caller = threading.get_ident()
-        for call in (report, verify_doubling_identity, verify_crossing_point):
-            seen.clear()
-            sweeps.clear()
-            for d in tied_weighted_corpus(74, 10):
-                call(d, spec)
-            assert seen == {caller}
-            assert (caller in sweeps) == (verify_path == "sequential") and len(sweeps) >= 1
-
-    def test_report_raises_the_map_error_after_the_join(self, verify_path):
+        monkeypatch.setattr(metrics, "rank_by_confidence", failing_rank)
         threads = threading.active_count()
-        spec = DecisionSpec(0.0, lambda s: np.where(s > 0.6, np.nan, np.abs(s)), np.negative)
-        with pytest.raises(NonFiniteMapError, match="confidence map produced non-finite values"):
-            report(Dataset([0.5, 0.75, -1.0, 0.25], [1, 0, 1, 0]), spec)
+        with pytest.raises(RankError):
+            report(Dataset([0.5, 0.75, -1.0, 0.25], [1, 0, 1, 0]), spec0)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("call", [report, verify_doubling_identity, verify_crossing_point])
-    def test_both_steps_raise_in_the_sequential_order(self, monkeypatch, verify_path, call):
-        # the sweep's error comes first, on either path; on two-class data only
-        # a fake sweep raises, so only it reaches this case
+    def test_both_steps_raise_in_the_sequential_order(self, monkeypatch, verify_path, call, spec0):
+        # the sweep's error comes first, on either path
         class SweepError(Exception):
             pass
 
         def failing_sweep(*args):
             raise SweepError
 
+        def failing_rank(*args):
+            raise AssertionError("the ranking's error was raised")
+
         monkeypatch.setattr(metrics, "_sweep", failing_sweep)
+        monkeypatch.setattr(metrics, "rank_by_confidence", failing_rank)
         threads = threading.active_count()
-        spec = DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative)
         with pytest.raises(SweepError):
-            call(Dataset([0.5, -0.75, 0.25], [1, 0, 0]), spec)
+            call(Dataset([0.5, -0.75, 0.25], [1, 0, 0]), spec0)
         assert threading.active_count() == threads
 
     def test_one_class_report_is_only_ranked(self, monkeypatch, spec0):
@@ -751,16 +647,10 @@ class TestHelperThread:
         "data, spec",
         [
             (Dataset([], []), make_abs_spec(0.0)),
-            # the reflection overflows: raised before the sweep starts
-            (Dataset([0.5, 20.0, -1.0], [1, 0, 1]), DecisionSpec(0.0, np.abs, _no_nan)),
-            # the sweep succeeds and the ranking raises
-            (Dataset([0.5, 0.75, -1.0], [1, 0, 1]),
-             DecisionSpec(0.0, lambda s: np.where(s > 0.6, np.nan, np.abs(s)), np.negative)),
-            # both raise, and the sweep's error comes first
-            (Dataset([0.0, 0.0, 0.0], [1, 1, 1]),
-             DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative)),
+            # every row keeps its class, so the duplicate's sweep finds one class
+            (Dataset([0.0, -0.0, 0.0], [1, 1, 1]), make_abs_spec(0.0)),
         ],
-        ids=["empty", "reflection_overflows", "confidence_nan", "sweep_error_first"],
+        ids=["empty", "one_class_duplicate"],
     )
     def test_errors_match_the_reference(self, monkeypatch, verify_path, data, spec):
         threads = threading.active_count()
@@ -772,16 +662,14 @@ class TestHelperThread:
     def test_reference_errors_are_the_documented_ones(self):
         cases = [
             (Dataset([], []), make_abs_spec(0.0), EmptyDatasetError, "cannot duplicate an empty dataset"),
-            (Dataset([0.5, 20.0], [1, 0]), DecisionSpec(0.0, np.abs, _no_nan),
-             NonFiniteMapError, "scores must all be finite"),
-            (Dataset([0.0, 0.0], [1, 1]), DecisionSpec(0.0, lambda s: np.full_like(s, np.nan), np.negative),
+            (Dataset([0.0, 0.0], [1, 1]), make_abs_spec(0.0),
              SingleClassError, "ROC requires positive weight in both classes"),
         ]
         for data, spec, error, text in cases:
             with pytest.raises(error, match=text):
                 verify_doubling_identity(data, spec)
         # the duplicate's builder raises the same for the verifiers and duplicate_dataset
-        for data, spec, error, text in cases[:2]:
+        for data, spec, error, text in cases[:1]:
             for call in (duplicate_dataset, verify_doubling_identity, verify_crossing_point):
                 with pytest.raises(error) as raised:
                     call(data, spec)
