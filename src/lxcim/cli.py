@@ -85,7 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", parents=[ingestion], help="probe exchange invariance with random masks"
     )
-    p_check.add_argument("--metric", choices=_CHECK_METRICS, required=True)
+    p_check.add_argument(
+        "--metric", choices=_CHECK_METRICS, required=True,
+        help="metric to probe, on the scores centred as s - s_star; auroc can then differ from "
+        "eval's, which sweeps the scores as read, where centring merges distinct scores",
+    )
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(handler=_cmd_check)

@@ -246,11 +246,11 @@ def check_rank_lxc_invariance(
     re-checking the arrays (see ``Dataset._from_valid``).  An
     ``ExchangeMask`` is built only for the witness.
 
-    From 256 samples the exchanged datasets, and an uncopied twin of
-    ``dataset`` for the baseline, share one lazily sorted weight order for
-    their tied rankings, so a check sorts the weights at most once.  That is
-    not circular: an exchange keeps the weights array itself, and nothing
-    derived from scores or labels is shared.  ``dataset`` is left untouched.
+    The exchanged datasets, and an uncopied twin of ``dataset`` for the
+    baseline, share one lazily sorted weight order for their tied rankings,
+    so a check sorts the weights at most once.  That is not circular: an
+    exchange keeps the weights array itself, and nothing derived from scores
+    or labels is shared.  ``dataset`` is left untouched.
     """
     n = len(dataset)
     data = _sharing_weight_order(dataset)

@@ -92,7 +92,7 @@ class CurveKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """Piecewise-linear curve, stored as exact breakpoints in sweep order."""
+    """Piecewise-linear curve, stored as exact, finite breakpoints in sweep order."""
 
     kind: CurveKind
     x: np.ndarray
@@ -103,7 +103,9 @@ class Curve:
         y = np.array(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) == 0:
             raise ValueError("x and y must be equal-length nonempty 1-d arrays")
-        # the same verdict as np.diff(x) < 0, even for inf and overflow, without the differences
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("breakpoints must be finite")
+        # the same verdict as np.diff(x) < 0, even where a difference overflows, without the differences
         if (x[1:] < x[:-1]).any():
             raise ValueError("x must be non-decreasing")
         if self.kind in (CurveKind.ROC, CurveKind.CUM_ACC):

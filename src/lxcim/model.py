@@ -220,15 +220,13 @@ class RankedView:
     """A dataset ordered by strictly descending decision confidence.
 
     ``order`` maps ranked positions to original dataset positions.  Runs of
-    equal confidence are tie groups; within a group samples sit in a canonical
-    suborder keyed on correctness (wrong first), then weight (light first), the
-    two attributes an exchange preserves per sample, so every cumulative array
-    here is identical before and after exchanging any subset and independent
-    of input order.  Side of the threshold (below first), then dataset
-    position, break the remaining ties, between samples whose relative order
-    cannot affect the prefix sums.  A tie group holds at most one score per
-    side, t and -t, and correctness plus side fix the label, so this is the
-    order of (score, label) as well.
+    equal confidence are tie groups; within a group samples are ordered by
+    correctness (wrong first), then weight (light first).  Confidence,
+    correctness and weight are what an exchange preserves per sample, so
+    every array here but ``order`` is identical before and after exchanging
+    any subset and independent of input order.  Among samples equal in all
+    three keys, which add identical terms to every prefix sum, the order is
+    not specified; it is deterministic for a given array and numpy build.
 
     ``cum_weight`` and ``cum_correct_weight`` are per-sample prefix sums of
     weight and of weight restricted to correctly predicted samples.
@@ -243,99 +241,70 @@ class RankedView:
     group_ends: np.ndarray
 
 
-# From this many samples on, sorting by weight first beats one lexsort.  Over
-# 200 different 2-decimal datasets a size (2-core x86 VM, numpy 2.4), lexsort
-# against weight first took, with distinct weights, 7.7 / 7.6 us at 128 rows,
-# 13.3 / 9.4 at 256 and 25.1 / 13.7 at 512; with equal weights, which weight
-# first sorts in vain before its lexsort, 4.8 / 7.3 at 128 and 6.1 / 8.6 at 256
-_WEIGHT_FIRST_MIN_N = 256
-
-
 class _WeightOrder:
-    """The ascending order of one weights array when its weights are distinct, sorted on first use.
+    """The ascending order of one weights array, sorted on first use.
 
-    With distinct weights every sort by weight is the canonical one, so this
-    order is a function of the weights alone.  An exchange keeps each
-    sample's weight and shares the weights array itself, so the rankings of
-    one check's exchanged datasets can all take their order from one object.
-    It holds nothing derived from scores or labels.
+    An exchange keeps each sample's weight and shares the weights array
+    itself, so the rankings of one check's exchanged datasets can all take
+    their weight order from one object.  It holds nothing derived from
+    scores or labels.
     """
 
-    __slots__ = ("weights", "_sorted", "_order")
+    __slots__ = ("weights", "_order")
 
     def __init__(self, weights: np.ndarray):
-        self.weights, self._sorted, self._order = weights, False, None
+        self.weights, self._order = weights, None
 
-    def distinct(self) -> np.ndarray | None:
-        """``weights.argsort()``, or None when a weight repeats."""
-        if not self._sorted:
-            self._order, self._sorted = _distinct_weight_order(self.weights), True
+    def order(self) -> np.ndarray:
+        """``weights.argsort()``, read-only, sorted by the first call."""
+        if self._order is None:
+            self._order = self.weights.argsort()
+            self._order.setflags(write=False)
         return self._order
 
 
-def _distinct_weight_order(weights: np.ndarray) -> np.ndarray | None:
-    by_weight = weights.argsort()
-    sorted_weights = weights[by_weight]
-    if (sorted_weights[1:] != sorted_weights[:-1]).all():
-        by_weight.setflags(write=False)
-        return by_weight
-    return None
-
-
 def _sharing_weight_order(dataset: Dataset) -> Dataset:
-    """An uncopied twin of ``dataset`` with a fresh ``_WeightOrder``, for rankings that share its weights.
-
-    Below ``_WEIGHT_FIRST_MIN_N`` samples a ranking sorts no weights apart,
-    so there ``dataset`` itself is returned.
-    """
-    if len(dataset) < _WEIGHT_FIRST_MIN_N:
-        return dataset
+    """An uncopied twin of ``dataset`` with a fresh ``_WeightOrder``, for rankings that share its weights."""
     return Dataset._from_valid(dataset.scores, dataset.labels, dataset.weights, _WeightOrder(dataset.weights))
 
 
-def _canonical_ties(order, new_group, groups, correct, predicted, weights, weight_order) -> np.ndarray:
-    """Put tied samples in the canonical suborder of :class:`RankedView`.
+def _canonical_ties(order, new_group, groups, correct, weights, weight_order) -> np.ndarray:
+    """Put tied samples in the order of :class:`RankedView`: (group, correctness, weight).
 
     ``order`` sorts by descending confidence with ties in any order,
     ``new_group`` marks where its confidence changes and ``groups`` counts the
-    tie groups.  The result sorts by (group, correctness, weight, side,
-    position).  Numpy's stable sort radix-sorts 8- and 16-bit integers, so with
-    distinct weights one key, ``2·group + correct`` in the narrowest unsigned
-    type that holds ``2·groups - 1``, orders the weight-sorted samples in one
-    pass.  Past 32768 groups correctness and the group ids' 16-bit pieces take
-    a pass each instead.  Few samples or repeated weights take one lexsort.
-    The weight order is the dataset's ``_WeightOrder``, shared by one check's
-    exchanged datasets, or a fresh one when it carries none.
+    tie groups.  The samples are taken in ascending weight order, then one
+    stable pass sorts them by group and correctness.  Numpy's stable sort
+    radix-sorts 8- and 16-bit integers, so that pass is on one key,
+    ``2·group + correct``, in the narrowest unsigned type that holds
+    ``2·groups - 1``.  Past 32768 groups correctness and the group ids'
+    16-bit pieces take a pass each instead.  The weight order is the
+    dataset's ``_WeightOrder``, shared by one check's exchanged datasets, or
+    a fresh one when it carries none.
     """
-    n = len(order)
-    combine = n >= _WEIGHT_FIRST_MIN_N and groups <= 32768
+    combine = groups <= 32768
     top = 2 * groups - 1 if combine else groups - 1  # the largest key
     dtype = np.uint8 if top < 256 else np.uint16 if top < 65536 else np.min_scalar_type(top)
-    key = np.zeros(n, dtype)
+    key = np.zeros(len(order), dtype)
     key[order[1:]] = np.cumsum(new_group, dtype=dtype)
-    if n < _WEIGHT_FIRST_MIN_N:
-        return np.lexsort((predicted, weights, correct, key))
     if combine:
         key += key
         key += correct
         keys = (key,)
     else:
         keys = (correct, *((key >> s).astype(np.uint16, copy=False) for s in range(0, 8 * key.itemsize, 16)))
-    if weight_order is None:
-        weight_order = _WeightOrder(weights)
-    by_weight = weight_order.distinct()
-    if by_weight is not None:
-        return by_weight[np.lexsort([k[by_weight] for k in keys])]
-    return np.lexsort((predicted, weights, *keys))
+    by_weight = (weight_order or _WeightOrder(weights)).order()
+    return by_weight[np.lexsort([k[by_weight] for k in keys])]
 
 
 def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     """Order a dataset by descending confidence ``abs(score)`` and mark tie groups.
 
     When the confidences are all distinct, one argsort gives the order.
-    Otherwise the tied samples are reordered into the canonical suborder;
-    the result equals one lexsort on (confidence, correctness, weight, score,
-    label, position).  Raises EmptyDatasetError for an empty dataset.
+    Otherwise the tied samples are reordered by correctness, then weight;
+    every field but ``order`` then equals that of one lexsort on
+    (confidence, correctness, weight).  Raises EmptyDatasetError for an
+    empty dataset.
     """
     scores = dataset.scores
     n = len(scores)
@@ -345,8 +314,7 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     order = (-conf).argsort()
     conf_r = conf[order]
 
-    predicted = scores > 0.0
-    correct_all = predicted == dataset.labels.astype(bool)
+    correct_all = (scores > 0.0) == dataset.labels.astype(bool)
     new_group = conf_r[1:] != conf_r[:-1]
     groups = np.count_nonzero(new_group) + 1
     if groups == n:  # no two confidences tie
@@ -354,9 +322,7 @@ def rank_by_confidence(dataset: Dataset, spec: DecisionSpec) -> RankedView:
     else:
         # wrong before right and light before heavy: exchanges preserve both
         # keys, so tied samples land on the same boundaries after any exchange
-        order = _canonical_ties(
-            order, new_group, groups, correct_all, predicted, dataset.weights, dataset._weight_order
-        )
+        order = _canonical_ties(order, new_group, groups, correct_all, dataset.weights, dataset._weight_order)
         last = np.empty(n, dtype=bool)  # the last sample of each tie group
         last[:-1], last[-1] = new_group, True
         group_ends = last.nonzero()[0] + 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lxcim import Dataset, SingleClassError, make_abs_spec
+from lxcim.model import _WeightOrder
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,21 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture()
+def weight_sorts(monkeypatch):
+    """The weights arrays that ``_WeightOrder.order`` sorts, one entry per sort."""
+    sorts = []
+    original = _WeightOrder.order
+
+    def order(self):
+        if self._order is None:
+            sorts.append(self.weights)
+        return original(self)
+
+    monkeypatch.setattr(_WeightOrder, "order", order)
+    return sorts
 
 
 @pytest.fixture()

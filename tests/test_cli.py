@@ -271,6 +271,15 @@ class TestProbabilityThreshold:
         lxcim.write_curve_csv(tmp_path / "roc.csv", lxcim.roc_curve(read))
         assert (tmp_path / "c" / "roc.csv").read_bytes() == (tmp_path / "roc.csv").read_bytes()
 
+    def test_auroc_check_probes_the_centred_scores(self, tmp_path, capsys):
+        # the rows above: eval's AUROC of the scores as read is 0.75, the check's of the centred 0.625
+        path = tmp_path / "tiny.csv"
+        path.write_text("score,label\n2e-18,1\n1e-18,0\n0.9,1\n0.2,0\n", encoding="utf-8")
+        assert run(["eval", "--input", path, "--s-star", 0.5, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["auroc"] == 0.75
+        assert run(["check", "--input", path, "--s-star", 0.5, "--metric", "auroc", "--trials", 20]) == 1
+        assert capsys.readouterr().out.startswith("metric=auroc baseline=0.625 trials=20 ")
+
     @pytest.mark.parametrize("s_star", [0.5, 0.3, 0.07])
     def test_duplicate_writes_the_mirror_about_s_star(self, tmp_path, capsys, s_star):
         # the rows as read, then s_star + m for each centred mirror m: the bytes of s_star - (s - s_star)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from lxcim import Dataset, exchange_subset, make_abs_spec, rank_by_confidence, report, verify_doubling_identity
 
 import exact
-from test_model import VIEW_FIELDS, lexsort_view
+from test_model import assert_ranked_as_lexsort
 
 THRESHOLDS = (0.0, 0.5, -0.25)
 
@@ -150,7 +150,4 @@ def test_report_and_ranking_match_the_oracle_on_drawn_data(data):
     assert rep.auroc == (None if auroc is None else float(auroc))
     audrc = exact.audrc(rows, s_star)
     assert abs(Fraction(rep.audrc) - audrc) <= (len(dataset) + 5) * Fraction(1, 2**53) * audrc
-    view = rank_by_confidence(centred_data, make_abs_spec(0.0))
-    expected = lexsort_view(centred_data)
-    for field in VIEW_FIELDS:
-        assert getattr(view, field).tobytes() == expected[field].tobytes(), field
+    assert_ranked_as_lexsort(rank_by_confidence(centred_data, make_abs_spec(0.0)), centred_data)

@@ -32,7 +32,6 @@ from lxcim import (
     report,
 )
 
-from lxcim import model
 from lxcim.model import _WeightOrder
 
 from conftest import random_dataset
@@ -417,8 +416,8 @@ class TestCheckOracle:
     @pytest.mark.parametrize("weights", ["distinct", "three-values", "equal"])
     @pytest.mark.parametrize("kind", ["tied", "at-threshold", "prob"])
     def test_matches_reference_sharing_the_weight_order(self, kind, weights, metric):
-        # from 256 rows every trial's ranking takes the check's one weight order
-        for seed, n in enumerate((256, 257, 600, 3000)):
+        # every trial's ranking takes the check's one weight order
+        for seed, n in enumerate((31, 256, 600, 3000)):
             dataset, spec = oracle_data(kind, n, seed)
             rng = np.random.default_rng(seed)
             w = {
@@ -494,7 +493,7 @@ class TestCheckTrialCost:
 
 
 def tied_rows(n, seed=0):
-    """``n`` rows of 2-decimal scores with distinct weights: tied, and weight-sorted from 256 rows."""
+    """``n`` rows of 2-decimal scores with distinct weights, in tie groups."""
     rng = np.random.default_rng(seed)
     return Dataset(np.round(rng.normal(size=n), 2), rng.integers(0, 2, n), rng.uniform(0.05, 2.0, n))
 
@@ -502,41 +501,36 @@ def tied_rows(n, seed=0):
 class TestSharedWeightOrder:
     """A check sorts the weights once for all its trials, and shares nothing else or beyond the call."""
 
+    @pytest.mark.parametrize("n", [30, 300])
     @pytest.mark.parametrize("metric", ["lxcim", "audrc", "accuracy"])
-    def test_check_sorts_the_weights_once(self, count_calls, spec0, metric):
-        d = tied_rows(300)
-        sorts = count_calls(model, "_distinct_weight_order")
+    def test_check_sorts_the_weights_once(self, weight_sorts, spec0, metric, n):
+        d = tied_rows(n)
+        assert len(rank_by_confidence(d, spec0).group_ends) < n
+        weight_sorts.clear()
         rep = check_rank_lxc_invariance(ORACLE_METRICS[metric](spec0), d, spec0, trials=10, seed=3)
-        assert rep.passed and len(sorts) == 1 and sorts[0][0] is d.weights
+        assert rep.passed and len(weight_sorts) == 1 and weight_sorts[0] is d.weights
 
-    def test_metric_that_never_ranks_sorts_nothing(self, count_calls, spec0):
-        sorts = count_calls(model, "_distinct_weight_order")
+    def test_metric_that_never_ranks_sorts_nothing(self, weight_sorts, spec0):
         check_rank_lxc_invariance(auroc, tied_rows(300), spec0, trials=10, seed=3)
-        assert sorts == []
+        assert weight_sorts == []
 
-    def test_below_256_rows_the_weights_are_not_sorted_apart(self, count_calls, spec0):
-        sorts = count_calls(model, "_distinct_weight_order")
-        check_rank_lxc_invariance(partial(lxcim, spec=spec0), tied_rows(255), spec0, trials=10, seed=3)
-        assert sorts == []
-
-    def test_order_does_not_outlive_the_check(self, count_calls, spec0):
+    def test_order_does_not_outlive_the_check(self, weight_sorts, spec0):
         d = tied_rows(300)
         before = rank_bits(d, spec0)
         check_rank_lxc_invariance(partial(lxcim, spec=spec0), d, spec0, trials=10, seed=3)
         assert d._weight_order is None  # the caller's dataset is left as it was
-        sorts = count_calls(model, "_distinct_weight_order")
-        assert rank_bits(d, spec0) == before and len(sorts) == 1
+        weight_sorts.clear()
+        assert rank_bits(d, spec0) == before and len(weight_sorts) == 1
         report(d, spec0)
-        assert len(sorts) == 2
+        assert len(weight_sorts) == 2
 
-    def test_exchange_and_duplicate_carry_no_order(self, count_calls, spec0):
+    def test_exchange_and_duplicate_carry_no_order(self, weight_sorts, spec0):
         d = tied_rows(300)
         exchanged = exchange_subset(d, range(0, 300, 3), spec0)
         doubled = duplicate_dataset(d, spec0)
         assert exchanged._weight_order is None and doubled._weight_order is None
-        sorts = count_calls(model, "_distinct_weight_order")
         lxcim(exchanged, spec0), lxcim(exchanged, spec0), lxcim(doubled, spec0)
-        assert len(sorts) == 3
+        assert len(weight_sorts) == 3
 
     def test_metric_gets_plain_datasets_equal_to_the_reference(self, spec0):
         for d in (tied_rows(300), Dataset(np.round(np.linspace(-1, 1, 400), 1), np.arange(400) % 2)):

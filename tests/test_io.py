@@ -657,14 +657,14 @@ class TestBuildDataset:
 
 def raw_ranking(scores, labels, weights, s_star):
     """The ranking of rows judged against ``s_star`` as they were read: confidence
-    ``abs(s - s_star)``, class ``s > s_star``, and the canonical tie suborder of
-    ``RankedView`` (wrong first, then light first, then side, then position)."""
+    ``abs(s - s_star)``, class ``s > s_star``, and the tie order of ``RankedView``
+    (wrong first, then light first).  Returns the ranked confidences, correctness
+    and both prefix sums."""
     conf = np.abs(scores - s_star)
-    predicted = scores > s_star
-    correct = predicted == labels.astype(bool)
-    order = np.lexsort((predicted, weights, correct, -conf))
+    correct = (scores > s_star) == labels.astype(bool)
+    order = np.lexsort((weights, correct, -conf))
     weight = weights[order]
-    return order, correct[order], weight.cumsum(), (weight * correct[order]).cumsum()
+    return conf[order], correct[order], weight.cumsum(), (weight * correct[order]).cumsum()
 
 
 def centring_scores(kind, s_star, rng, n=400):
@@ -702,7 +702,8 @@ class TestCentring:
         assert np.array_equal(d.scores > 0.0, scores > s_star)
         view = rank_by_confidence(d, spec0)
         expected = raw_ranking(scores, labels, weights, s_star)
-        for got, want in zip((view.order, view.correct, view.cum_weight, view.cum_correct_weight), expected):
+        ranked_conf = np.abs(scores - s_star)[view.order]
+        for got, want in zip((ranked_conf, view.correct, view.cum_weight, view.cum_correct_weight), expected):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("s_star, row", [(-1e308, 2), (1e308, 1)])
@@ -776,9 +777,10 @@ class TestWrittenBytes:
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
 
     def test_signed_nan_curve_matches_row_writer(self, tmp_path):
-        # a NaN's repr has no sign, whatever its sign bit; roc_curve gives NaN on one class
+        # a NaN's repr has no sign, whatever its sign bit; Curve(...) refuses non-finite
+        # breakpoints, so the formatter meets them only through the unchecked constructor
         xs = np.array([0.0, 1.0, np.nan, -np.nan])
-        curve = Curve(CurveKind.ACC_RATE, xs, np.array([-np.nan, -np.inf, np.nan, -0.0]))
+        curve = Curve._from_valid(CurveKind.ACC_RATE, xs, np.array([-np.nan, -np.inf, np.nan, -0.0]))
         write_curve_csv(tmp_path / "ours.csv", curve)
         reference_curve_csv(tmp_path / "theirs.csv", curve)
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()

@@ -338,11 +338,28 @@ class TestCurveType:
         with pytest.raises(ValueError):
             Curve(CurveKind.ROC, np.array([0.0, 1.5]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "kind,x,y",
+        [
+            (CurveKind.ROC, [0.0, np.nan], [0.0, 1.0]),
+            (CurveKind.CUM_ACC, [0.0, 1.0], [0.0, np.nan]),
+            (CurveKind.ACC_RATE, [np.nan], [0.5]),
+            (CurveKind.ACC_RATE, [0.5, 1.0], [np.inf, 1.0]),
+        ],
+        ids=["roc-nan-x", "cum-acc-nan-y", "acc-rate-nan-x", "acc-rate-inf-y"],
+    )
+    def test_rejects_non_finite_breakpoints(self, kind, x, y):
+        # write_curve_csv would write them as nan and inf
+        with pytest.raises(ValueError, match="^breakpoints must be finite$"):
+            Curve(kind, x, y)
+
     @staticmethod
     def reference_checks(kind, x, y):
-        """The checks ``Curve`` made through ``np.diff`` and ``np.any`` before."""
+        """The checks ``Curve`` made through ``np.diff`` and ``np.any`` before, after the finiteness check."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("breakpoints must be finite")
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 - -1e308
             if np.any(np.diff(x) < 0):
                 raise ValueError("x must be non-decreasing")
@@ -379,7 +396,7 @@ class TestCurveType:
             expected = self.outcome(lambda: self.reference_checks(kind, x, base))
             assert self.outcome(lambda: Curve(kind, np.array(x), np.array(base))) == expected
             outcomes.add(expected)
-        assert "accepted" in outcomes and "x must be non-decreasing" in outcomes
+        assert {"accepted", "x must be non-decreasing", "breakpoints must be finite"} <= outcomes
         if kind is not CurveKind.ACC_RATE:
             assert f"{kind.value} breakpoints must lie in the unit square" in outcomes
 

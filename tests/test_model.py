@@ -1,5 +1,6 @@
 import copy
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import pytest
 from lxcim import (
     Dataset,
     EmptyDatasetError,
+    accuracy,
+    audrc,
+    check_rank_lxc_invariance,
+    lxcim,
     make_abs_spec,
     predict,
     rank_by_confidence,
 )
-from lxcim import model
 from lxcim.model import DecisionSpec, _sharing_weight_order, _WeightOrder
 
 from conftest import random_dataset
@@ -186,24 +190,52 @@ class TestRankByConfidence:
         with pytest.raises(EmptyDatasetError):
             rank_by_confidence(Dataset([], []), spec0)
 
-    def test_canonical_under_input_permutation(self, spec0):
+    @pytest.mark.parametrize("data", ["tie-free", "few-weights-30", "few-weights-300", "few-weights-5000",
+                                      "few-weights-32769-groups"])
+    def test_canonical_under_input_permutation(self, data, spec0):
+        # every field but order, and the confidences in ranked order, are the same bytes
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            d = random_dataset(rng, int(rng.integers(2, 30)))
+        for d in _permutation_data(data, rng):
             perm = rng.permutation(len(d))
             shuffled = Dataset(d.scores[perm], d.labels[perm], d.weights[perm])
             a = rank_by_confidence(d, spec0)
             b = rank_by_confidence(shuffled, spec0)
-            assert np.array_equal(d.scores[a.order], shuffled.scores[b.order])
-            assert np.array_equal(a.correct, b.correct)
-            assert np.array_equal(a.cum_weight, b.cum_weight)
-            assert np.array_equal(a.group_ends, b.group_ends)
+            assert np.abs(d.scores)[a.order].tobytes() == np.abs(shuffled.scores)[b.order].tobytes()
+            for field in VIEW_FIELDS[1:]:
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+            assert rank_by_confidence(d, spec0).order.tobytes() == a.order.tobytes()  # deterministic
+
+    @pytest.mark.parametrize("metric", [lxcim, audrc, accuracy], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("data", ["few-weights-30", "few-weights-300", "few-weights-5000",
+                                      "few-weights-32769-groups"])
+    def test_exchanges_move_no_rank_metric_on_repeated_weights(self, data, metric, spec0):
+        for d in _permutation_data(data, np.random.default_rng(7)):
+            rep = check_rank_lxc_invariance(partial(metric, spec=spec0), d, spec0, trials=6, seed=2)
+            assert rep.passed and rep.max_deviation == 0.0
 
     def test_cum_weight_strictly_increasing(self, spec0):
         rng = np.random.default_rng(8)
         d = random_dataset(rng, 64)
         view = rank_by_confidence(d, spec0)
         assert np.all(np.diff(view.cum_weight) > 0)
+
+
+def _permutation_data(kind, rng):
+    """Datasets for the permutation and exchange tests: tie-free, or tied with weights 0.1, 0.3 and 0.7.
+
+    Repeated weights that are not dyadic make the prefix sums round
+    differently when two unequal weights swap, so a misordered pair shows.
+    """
+    if kind == "tie-free":
+        return [random_dataset(rng, int(rng.integers(2, 30))) for _ in range(20)]
+    if kind == "few-weights-32769-groups":
+        grouped = _grouped_dataset(40_000, 32769, False)
+        return [Dataset(grouped.scores, grouped.labels, rng.choice([0.1, 0.3, 0.7], len(grouped)))]
+    n = int(kind.rsplit("-", 1)[1])
+    return [
+        Dataset(np.round(rng.uniform(-1.0, 1.0, n), 1), rng.integers(0, 2, n), rng.choice([0.1, 0.3, 0.7], n))
+        for _ in range(3)
+    ]
 
 
 VIEW_FIELDS = (
@@ -217,14 +249,11 @@ VIEW_FIELDS = (
 
 
 def lexsort_view(dataset):
-    """Reference ranking: one 5-key lexsort over every sample.
-
-    Descending confidence, then wrong before right, light before heavy, low
-    score before high, label 0 before 1, and dataset position last.
-    """
+    """Reference ranking: one 3-key lexsort, on descending confidence, then wrong before right,
+    then light before heavy."""
     conf = np.abs(dataset.scores)
     correct = (dataset.scores > 0.0) == dataset.labels.astype(bool)
-    order = np.lexsort((dataset.labels, dataset.scores, dataset.weights, correct, -conf))
+    order = np.lexsort((dataset.weights, correct, -conf))
     conf_r = conf[order]
     weight = dataset.weights[order]
     correct_r = correct[order]
@@ -267,16 +296,27 @@ def _grouped_dataset(n, groups, distinct_weights, seed=0):
     return Dataset(scores, rng.integers(0, 2, n), weights)
 
 
+def assert_ranked_as_lexsort(view, dataset):
+    """Every field of ``view`` but ``order`` is the 3-key lexsort's, bit for bit, and ``order`` is a
+    permutation with the lexsort's sequences of confidence, correctness and weight."""
+    expected = lexsort_view(dataset)
+    for field in VIEW_FIELDS:
+        got = getattr(view, field)
+        assert got.dtype == expected[field].dtype, field
+        if field != "order":
+            assert got.tobytes() == expected[field].tobytes(), field
+    assert np.array_equal(np.sort(view.order), np.arange(len(dataset)))
+    correct = (dataset.scores > 0.0) == dataset.labels.astype(bool)
+    for key in (np.abs(dataset.scores), correct, dataset.weights):
+        assert key[view.order].tobytes() == key[expected["order"]].tobytes()
+
+
 class TestRankingOracle:
-    """The ranking is the 5-key lexsort's, array for array and bit for bit."""
+    """The ranking is the 3-key lexsort's: every field but ``order`` bit for bit, and ``order``
+    up to samples equal in all three keys."""
 
     def assert_matches(self, dataset, spec):
-        view = rank_by_confidence(dataset, spec)
-        expected = lexsort_view(dataset)
-        for field in VIEW_FIELDS:
-            got = getattr(view, field)
-            assert got.dtype == expected[field].dtype, field
-            assert got.tobytes() == expected[field].tobytes(), field
+        assert_ranked_as_lexsort(rank_by_confidence(dataset, spec), dataset)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 300, 5000])
     @pytest.mark.parametrize("kind", ["continuous", "tied", "duplicate-rows", "random-weights"])
@@ -326,10 +366,10 @@ class TestRankingOracle:
         self.assert_matches(d, spec0)
 
     @pytest.mark.parametrize("distinct", [True, False], ids=["distinct-weights", "repeated-weights"])
-    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("n", [101, 300])
     @pytest.mark.parametrize("full", [False, True], ids=["100-groups", "n-1-groups"])
-    def test_matches_lexsort_around_weight_first_size(self, n, full, distinct, spec0):
-        # below 256 rows one lexsort orders the ties; from 256 the weights are sorted first
+    def test_matches_lexsort_from_one_tied_pair_to_100_groups(self, n, full, distinct, spec0):
+        # one path at every size: the weights sorted first, then one pass on 2·group + correct
         groups = n - 1 if full else 100
         for seed in range(3):
             d = _grouped_dataset(n, groups, distinct, seed)
@@ -340,18 +380,15 @@ class TestRankingOracle:
 class TestWeightOrder:
     """The weight order a ranking takes for tied confidences: sorted once, used as if sorted afresh."""
 
-    def test_sorted_on_first_use_only(self, count_calls):
+    def test_sorted_on_first_use_only(self, weight_sorts):
         weights = np.array([2.0, 0.5, 1.5, 1.0])
-        sorts = count_calls(model, "_distinct_weight_order")
         shared = _WeightOrder(weights)
-        assert sorts == []
-        first = shared.distinct()
+        assert weight_sorts == []
+        first = shared.order()
         assert first.tolist() == [1, 3, 2, 0] and not first.flags.writeable
-        assert shared.distinct() is first and len(sorts) == 1
-
-    def test_repeated_weights_give_none(self):
-        assert _WeightOrder(np.array([1.0, 2.0, 1.0])).distinct() is None
-        assert _WeightOrder(np.ones(300)).distinct() is None
+        assert shared.order() is first and len(weight_sorts) == 1
+        repeated = np.array([1.0, 2.0, 1.0, 0.5, 2.0])
+        assert np.array_equal(repeated[_WeightOrder(repeated).order()], np.sort(repeated))
 
     def test_only_from_valid_attaches_one(self):
         d = Dataset([1.0, -1.0], [1, 0], [1.0, 2.0])
@@ -363,21 +400,19 @@ class TestWeightOrder:
         with pytest.raises(AttributeError):
             twin._weight_order = None
 
-    def test_twin_only_where_the_ranking_sorts_weights_apart(self):
-        small = Dataset(np.zeros(255), np.zeros(255, dtype=int))
-        assert _sharing_weight_order(small) is small
-        d = Dataset(np.zeros(256), np.zeros(256, dtype=int))
+    @pytest.mark.parametrize("n", [0, 1, 255, 256])
+    def test_twin_shares_the_weights_at_every_size(self, n):
+        d = Dataset(np.zeros(n), np.zeros(n, dtype=int))
         twin = _sharing_weight_order(d)
         assert twin is not d and twin == d and d._weight_order is None
         assert twin.weights is d.weights and twin._weight_order.weights is d.weights
 
-    @pytest.mark.parametrize("n", [256, 300, 5000])
+    @pytest.mark.parametrize("n", [100, 300, 5000])
     @pytest.mark.parametrize("kind", ["tied", "duplicate-rows", "random-weights"])
-    def test_shared_order_ranks_as_the_lexsort(self, count_calls, kind, n, spec0):
-        sorts = count_calls(model, "_distinct_weight_order")
+    def test_shared_order_ranks_as_the_lexsort(self, weight_sorts, kind, n, spec0):
         for seed in range(3):
             d = _oracle_dataset(kind, n, seed)
             twin = Dataset._from_valid(d.scores, d.labels, d.weights, _WeightOrder(d.weights))
             for _ in range(2):
                 TestRankingOracle().assert_matches(twin, spec0)
-            assert len(sorts) == seed + 1
+            assert len(weight_sorts) == seed + 1

@@ -9,8 +9,11 @@ The last line of standard output is one JSON object of timings for the
 package under ``ROOT/src``.  The data is the ROADMAP Baseline's, of fixed
 shape and seed: ``generate(GeneratorConfig(BIASED, 10**6, 1, 0.7,
 RANDOM_POSITIVE))``, continuous as drawn and "tied" with the scores rounded
-to 2 decimals.  The CLI check runs ``lxcim check --trials 100`` on the
-check-tied data of ``ROOT/perfbench`` at seed 1, written as CSV.  Timings
+to 2 decimals; and, for the rank and report keys only, "few_weights": the
+tied scores with weights drawn from {0.1, 0.3, 0.7} (``default_rng(SEED)``),
+so that tie groups hold many equal weights.  The CLI check runs ``lxcim
+check --trials 100`` on the check-tied data of ``ROOT/perfbench`` at seed 1,
+written as CSV.  Timings
 are the best of a few calls in this one process: 5 rankings, 3 reports,
 verifications and duplications, 2 twenty-trial checks, and 1 of each file
 and CLI step.
@@ -148,6 +151,10 @@ def measure(root: Path, workdir: Path) -> dict:
             3, lambda: (lxcim.verify_doubling_identity(data, spec), lxcim.verify_crossing_point(data, spec))
         )
         out[f"{shape}_duplicate_ms"] = 1e3 * best_of(3, lambda: lxcim.duplicate_dataset(data, spec))
+    few_weights = np.random.default_rng(SEED).choice([0.1, 0.3, 0.7], ROWS)
+    few_data = lxcim.Dataset(shapes["tied"].scores, continuous.labels, few_weights)
+    out["few_weights_rank_ms"] = 1e3 * best_of(5, lambda: lxcim.rank_by_confidence(few_data, spec))
+    out["few_weights_report_ms"] = 1e3 * best_of(3, lambda: lxcim.report(few_data, spec))
 
     out.update(measure_float_text(continuous.scores))
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -12,6 +12,10 @@ files.  The commands are ``eval --output json --curves-dir``, ``check
   continuous rows each);
 - a tied CSV: ``generate(BIASED, 3000, seed 1, p 0.7, RANDOM_POSITIVE)``
   with its scores rounded to 2 decimals, so that rows sit at 0 and at 0.5;
+- "few-weights": that tied CSV with its weights drawn from {0.1, 0.3, 0.7}
+  (``default_rng(1)``), repeated and not dyadic, so that two unequal
+  weights out of order within a tie group change the rounding of the
+  prefix sums;
 - 2000 two-decimal probabilities with fair-coin labels (``default_rng(0)``).
 
 A run is the same on both sides when its exit code, standard output,
@@ -52,8 +56,12 @@ def write_inputs(change: Path, directory: Path) -> dict[str, Path]:
         (case,) = workloads._setup_roundtrip(seed, workloads.FULL, seed_dir)
         inputs[f"roundtrip-{seed}"] = case.csv
     drawn = generate(GeneratorConfig(GeneratorKind.BIASED, 3000, 1, 0.7, WeightMode.RANDOM_POSITIVE))
+    tied = Dataset(np.round(drawn.scores, 2), drawn.labels, drawn.weights)
     inputs["tied"] = directory / "tied.csv"
-    write_prediction_file(inputs["tied"], Dataset(np.round(drawn.scores, 2), drawn.labels, drawn.weights))
+    write_prediction_file(inputs["tied"], tied)
+    few = np.random.default_rng(1).choice([0.1, 0.3, 0.7], len(tied))
+    inputs["few-weights"] = directory / "few-weights.csv"
+    write_prediction_file(inputs["few-weights"], Dataset(tied.scores, tied.labels, few))
     rng = np.random.default_rng(0)
     inputs["probabilities"] = directory / "probabilities.csv"
     write_prediction_file(inputs["probabilities"], Dataset(np.round(rng.random(2000), 2), rng.integers(0, 2, 2000)))
